@@ -431,9 +431,6 @@ func runTrain(args []string) error {
 		comm  core.CommStats
 	)
 	if *shards > 0 {
-		if cfg.Async {
-			return fmt.Errorf("-async is not supported with -shards (the async consistency model is flat-platform only)")
-		}
 		theta, comm, err = trainSharded(m, fed, cfg, *shards, of.metricsOut)
 	} else {
 		var res *core.Result
@@ -656,11 +653,7 @@ func runPlatform(args []string) error {
 			links[i] = cfg.WrapLink(i, links[i])
 		}
 	}
-	runPlat := core.RunPlatform
-	if cfg.Async {
-		runPlat = core.RunAsyncPlatform
-	}
-	theta, stats, err := runPlat(links, weights, theta0, cfg)
+	theta, stats, err := core.RunPlatform(links, weights, theta0, cfg)
 	if err != nil {
 		_ = closeObs()
 		return err

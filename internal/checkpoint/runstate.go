@@ -7,16 +7,17 @@ import (
 	"path/filepath"
 
 	"github.com/edgeai/fedml/internal/tensor"
+	"github.com/edgeai/fedml/internal/transport"
 )
 
 // RunStateVersion identifies the mid-training snapshot schema.
 const RunStateVersion = 1
 
-// RunState is a platform-side mid-training snapshot: everything
-// core.RunPlatform needs to resume a crashed run at the next round. Unlike
-// Checkpoint (a finished, adaptation-ready model), RunState is training
-// plumbing: it carries the loop counters and communication accounting
-// alongside θ.
+// RunState is a root-side mid-training snapshot: everything the platform's
+// round loop (flat, async or director) needs to resume a crashed run at the
+// next round. Unlike Checkpoint (a finished, adaptation-ready model),
+// RunState is training plumbing: it carries the loop counters and
+// communication accounting alongside θ.
 type RunState struct {
 	Version int `json:"version"`
 	// Round is the last completed (aggregated) global round.
@@ -32,22 +33,11 @@ type RunState struct {
 	// Theta is the aggregated global parameter vector after Round.
 	Theta []float64 `json:"theta"`
 
-	// Communication accounting carried across the crash. The stale counters
-	// were added for async mode; snapshots written before then decode with
-	// zero values, so no version bump is needed.
-	Rounds        int   `json:"rounds"`
-	Messages      int   `json:"messages"`
-	Bytes         int64 `json:"bytes"`
-	Dropped       int   `json:"dropped"`
-	Rejoined      int   `json:"rejoined"`
-	Rejected      int   `json:"rejected"`
-	SkippedRounds int   `json:"skipped_rounds"`
-	StaleApplied  int   `json:"stale_applied,omitempty"`
-	StaleDropped  int   `json:"stale_dropped,omitempty"`
-	// BudgetFiltered was added with energy-budgeted scheduling; like the
-	// stale counters, older snapshots decode with zero and need no version
-	// bump.
-	BudgetFiltered int `json:"budget_filtered,omitempty"`
+	// ShardStats is the communication accounting carried across the crash;
+	// its counters encode as top-level keys. Counters added after the first
+	// snapshots (the stale and budget counters) decode as zero from older
+	// files, so no version bump is needed.
+	transport.ShardStats
 }
 
 // Validate checks internal consistency.

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/edgeai/fedml/internal/transport"
 )
 
 func validRunState() *RunState {
@@ -15,7 +17,7 @@ func validRunState() *RunState {
 		Round:   3, Iter: 15, T0: 5,
 		Dispersion: 0.25,
 		Theta:      []float64{0.1, -0.2, 0.3},
-		Rounds:     3, Messages: 18, Bytes: 432, Dropped: 1, Rejoined: 1, Rejected: 2,
+		ShardStats: transport.ShardStats{Rounds: 3, Messages: 18, Bytes: 432, Dropped: 1, Rejoined: 1, Rejected: 2},
 	}
 }
 
@@ -102,5 +104,46 @@ func TestRunStateRejectsGarbageFile(t *testing.T) {
 	}
 	if _, err := LoadRunState(path); err == nil {
 		t.Fatal("garbage run state loaded")
+	}
+}
+
+// TestRunStateDecodesPreStaleSnapshot pins the on-disk format: a snapshot
+// written before the stale and budget counters existed (no stale_* or
+// budget_filtered keys) still loads, with those counters zero and every
+// other counter in place.
+func TestRunStateDecodesPreStaleSnapshot(t *testing.T) {
+	const old = `{"version":1,"round":2,"iter":10,"t0":5,"dispersion":0.5,` +
+		`"theta":[0.25,-0.5],"rounds":2,"messages":12,"bytes":192,` +
+		`"dropped":1,"rejoined":1,"rejected":3,"skipped_rounds":1}`
+	path := filepath.Join(t.TempDir(), "run.state")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadRunState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := transport.ShardStats{Rounds: 2, Messages: 12, Bytes: 192, Dropped: 1, Rejoined: 1, Rejected: 3, SkippedRounds: 1}
+	if got.ShardStats != want {
+		t.Errorf("counters = %+v, want %+v", got.ShardStats, want)
+	}
+	if got.Round != 2 || got.Iter != 10 || got.T0 != 5 || got.Dispersion != 0.5 || len(got.Theta) != 2 {
+		t.Errorf("loop state = %+v", got)
+	}
+	// Re-encoding keeps the flat key layout: no nested counter object.
+	if err := SaveRunState(path, got); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"rounds":2`, `"messages":12`, `"skipped_rounds":1`} {
+		if !strings.Contains(string(raw), key) {
+			t.Errorf("re-encoded snapshot %s lacks %s", raw, key)
+		}
+	}
+	if strings.Contains(string(raw), "ShardStats") {
+		t.Errorf("re-encoded snapshot nests the counters: %s", raw)
 	}
 }

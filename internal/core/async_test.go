@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
@@ -417,5 +418,69 @@ func TestAsyncConfigValidation(t *testing.T) {
 	// RunAsyncPlatform validates even when callers bypass Train.
 	if _, _, err := RunAsyncPlatform(nil, nil, tensor.Vec{1}, Config{Alpha: 0.1, Beta: 0.1, T: 10, T0: 5}); err == nil {
 		t.Error("RunAsyncPlatform accepted a config without RoundTimeout")
+	}
+}
+
+// TestRunPlatformHonoursAsync pins that Config.Async switches RunPlatform
+// itself to the buffered-async loop, not only RunAsyncPlatform and Train: a
+// held update released two aggregations late must be applied stale, which
+// the sync gather barrier never does.
+func TestRunPlatformHonoursAsync(t *testing.T) {
+	const n = 3
+	links := make([]transport.Link, n)
+	nodeLinks := make([]transport.Link, n)
+	for i := range links {
+		links[i], nodeLinks[i] = transport.Pair()
+	}
+	release := make(chan struct{})
+	released := false
+	cfg := Config{
+		Alpha: 0.01, Beta: 0.01, T: 40, T0: 5, Seed: 1,
+		RoundTimeout: 400 * time.Millisecond,
+		Async:        true, StalenessDecay: 0.5, MaxStaleness: 50, AsyncQuorum: 0.6,
+		OnRound: func(round, iter int, theta tensor.Vec) {
+			if round >= 2 && !released {
+				released = true
+				close(release)
+				time.Sleep(20 * time.Millisecond)
+			}
+		},
+	}
+	go echoingNode(nodeLinks[0], 0)
+	go echoingNode(nodeLinks[1], 1)
+	go holdingNode(nodeLinks[2], 2, release)
+	defer func() {
+		for i := range links {
+			_ = links[i].Close()
+			_ = nodeLinks[i].Close()
+		}
+	}()
+	_, stats, err := RunPlatform(links, []float64{1, 1, 1}, tensor.Vec{1, 2, 3, 4}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.StaleApplied == 0 {
+		t.Errorf("StaleApplied = 0, want > 0: RunPlatform ignored Config.Async (%+v)", stats)
+	}
+}
+
+// TestShardedRejectsAsync pins that every two-tier entry point rejects
+// Config.Async by name instead of silently running sync rounds.
+func TestShardedRejectsAsync(t *testing.T) {
+	fed := tinyFederation(t, 0, 0)
+	m := tinyModel(fed)
+	cfg := Config{Alpha: 0.01, Beta: 0.01, T: 10, T0: 5, RoundTimeout: time.Second, Async: true}
+	res, err := TrainSharded(m, fed, nil, cfg, ShardedOptions{Shards: 2})
+	if !errors.Is(err, errShardedAsync) {
+		t.Errorf("TrainSharded: err = %v, result %+v, want errShardedAsync", err, res)
+	}
+	dir, _ := transport.Pair()
+	r := ShardRange{Lo: 0, Hi: 1}
+	if _, _, _, err := RunDirector([]transport.Link{dir}, []ShardRange{r}, tensor.Vec{1}, cfg); !errors.Is(err, errShardedAsync) {
+		t.Errorf("RunDirector: err = %v, want errShardedAsync", err)
+	}
+	node, _ := transport.Pair()
+	if err := RunShardAggregator(dir, []transport.Link{node}, []float64{1}, r, cfg); !errors.Is(err, errShardedAsync) {
+		t.Errorf("RunShardAggregator: err = %v, want errShardedAsync", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -582,6 +583,53 @@ func TestCheckpointResumeAfterCrash(t *testing.T) {
 	}
 	if stats2.Rounds != wantRounds || lastRound2 != wantRounds {
 		t.Errorf("fresh resume run: rounds = %d last = %d, want %d", stats2.Rounds, lastRound2, wantRounds)
+	}
+}
+
+// TestResumeFromPreStaleSnapshot resumes the platform from a pinned
+// snapshot written before the stale and budget counters existed (no
+// stale_* or budget_filtered keys): the run must pick up its round, θ and
+// every persisted counter, and add exactly the remaining rounds' traffic.
+func TestResumeFromPreStaleSnapshot(t *testing.T) {
+	const snapshot = `{"version":1,"round":2,"iter":10,"t0":5,"dispersion":0,` +
+		`"theta":[0.5,-1,2,0.25],"rounds":2,"messages":12,"bytes":192,` +
+		`"dropped":1,"rejoined":1,"rejected":3,"skipped_rounds":1}`
+	path := filepath.Join(t.TempDir(), "old.state")
+	if err := os.WriteFile(path, []byte(snapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	links := make([]transport.Link, 2)
+	for i := range links {
+		var nl transport.Link
+		links[i], nl = transport.Pair()
+		go echoingNode(nl, i)
+		defer nl.Close()
+	}
+	first := 0
+	cfg := Config{
+		Alpha: 0.01, Beta: 0.01, T: 40, T0: 5,
+		CheckpointPath: path, Resume: true,
+		OnRound: func(round, iter int, theta tensor.Vec) {
+			if first == 0 {
+				first = round
+			}
+		},
+	}
+	theta, stats, err := RunPlatform(links, []float64{1, 1}, tensor.NewVec(4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != 3 {
+		t.Errorf("first round after resume = %d, want 3", first)
+	}
+	// Echo nodes return θ, so the snapshot's θ survives the six rounds.
+	if want := (tensor.Vec{0.5, -1, 2, 0.25}); theta.Dist(want) != 0 {
+		t.Errorf("θ = %v, want the snapshot's %v", theta, want)
+	}
+	// Six more rounds of two broadcasts and two 4-param updates.
+	want := CommStats{Rounds: 8, Messages: 12 + 6*4, Bytes: 192 + 6*4*32, Dropped: 1, Rejoined: 1, Rejected: 3, SkippedRounds: 1}
+	if stats != want {
+		t.Errorf("stats = %+v, want %+v", stats, want)
 	}
 }
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
@@ -258,6 +260,50 @@ func TestRunPlatformValidation(t *testing.T) {
 	}
 	if _, _, err := RunPlatform([]transport.Link{a}, []float64{0}, theta, okCfg); err == nil {
 		t.Error("zero-sum weights accepted")
+	}
+
+	// Non-finite weights and an empty θ0 must fail validation by name, not a
+	// round later as a diverged node, on every entry point that owns nodes.
+	asyncCfg := okCfg
+	asyncCfg.RoundTimeout = time.Second
+	bad := []struct {
+		name    string
+		weights []float64
+		theta   tensor.Vec
+		want    string
+	}{
+		{"NaN weight", []float64{math.NaN()}, theta, "aggregation weight"},
+		{"+Inf weight", []float64{math.Inf(1)}, theta, "aggregation weight"},
+		{"weight sum overflow", []float64{math.MaxFloat64, math.MaxFloat64}, theta, "weights sum"},
+		{"empty theta0", []float64{1}, tensor.Vec{}, "empty initial parameters"},
+	}
+	for _, tc := range bad {
+		links := func() []transport.Link {
+			out := make([]transport.Link, len(tc.weights))
+			for i := range out {
+				out[i], _ = transport.Pair()
+			}
+			return out
+		}
+		if _, _, err := RunPlatform(links(), tc.weights, tc.theta, okCfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunPlatform with %s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, _, err := RunAsyncPlatform(links(), tc.weights, tc.theta, asyncCfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunAsyncPlatform with %s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		// The shard learns θ's dimension from its first dispatch.
+		dir, up := transport.Pair()
+		go func() {
+			if dir.Send(transport.Msg{Kind: transport.KindParams, Round: 1, Params: tc.theta}) == nil {
+				_, _ = dir.Recv() // the shard reports the failure upstream
+			}
+		}()
+		r := ShardRange{Lo: 0, Hi: len(tc.weights)}
+		if err := RunShardAggregator(up, links(), tc.weights, r, okCfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunShardAggregator with %s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		_ = dir.Close()
+		_ = up.Close()
 	}
 }
 

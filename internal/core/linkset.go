@@ -15,9 +15,9 @@ import (
 // node-facing transport.Link — broadcast, probe, gather, codec chains,
 // suspect/rejoin bookkeeping — and the traffic billing that goes with it.
 // The flat platform and the leaf shard aggregator both drive their node
-// fleets through one linkSet, so the counter/event parity invariant (every
-// CommStats mutation mirrored as exactly one obs.Event, see billDown/billUp/
-// markSuspect/rejoin) holds for both by construction.
+// fleets through one linkSet (via flatSource), so the counter/event parity
+// invariant (every CommStats mutation mirrored as exactly one obs.Event, see
+// billDown/billUp/markSuspect/rejoin/reject) holds for both by construction.
 
 // linkOps abstracts per-node I/O so the strict synchronous path and the
 // fault-tolerant (deadline-bounded) path share the round loop.
@@ -148,16 +148,12 @@ func newLinkSet(c Config, links []transport.Link, base int) *linkSet {
 		}
 		ops = &asyncOps{wrapped: wrapped, timeout: c.RoundTimeout}
 	}
-	logf := c.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	ls := &linkSet{
 		c:        c,
 		ops:      ops,
 		ft:       ft,
 		probeTO:  resolveProbeTimeout(c),
-		logf:     logf,
+		logf:     c.logger(),
 		base:     base,
 		alive:    make([]bool, len(links)),
 		aliveCnt: len(links),
@@ -302,8 +298,7 @@ func (ls *linkSet) decodeUp(i, round int, msg *transport.Msg, theta tensor.Vec) 
 
 // errDecode marks a delivered update whose payload could not be decoded —
 // wire corruption or a broken codec reference chain. Fault-tolerant rounds
-// treat it like a sanitation reject (bill, discard, resync the link);
-// strict rounds abort.
+// treat it like a sanitation reject (gatherFailed); strict rounds abort.
 var errDecode = errors.New("core: undecodable update payload")
 
 // billDown accounts one downlink (platform→node) parameter message of
@@ -428,14 +423,21 @@ func (ls *linkSet) bindNodeID(i, id int) error {
 }
 
 // gatherFrom waits up to d for link i's update to the given round,
-// validating protocol shape and NodeID binding. In fault-tolerant mode it
-// drains stale answers to earlier rounds (late replies from a node that
-// was dropped and is coming back) instead of treating them as violations.
-// theta is the current global vector masked payloads scatter into; its
-// length is the expected update dimension.
-func (ls *linkSet) gatherFrom(i, round int, theta tensor.Vec, d time.Duration) (transport.Msg, error) {
+// validating protocol shape, payload decode and NodeID binding — the one
+// vetting path for every gathered update. In fault-tolerant mode it drains
+// stale answers to earlier rounds (late replies from a node that was dropped
+// and is coming back) instead of treating them as violations. anyRound
+// accepts a reply to any round instead: the async sweep weighs staleness by
+// θ-version at apply time. theta is the current global vector masked
+// payloads scatter into; its length is the expected update dimension.
+// Decode failures (errDecode) return the message alongside the error so the
+// caller can bill the bytes that did cross the wire.
+func (ls *linkSet) gatherFrom(i, round int, theta tensor.Vec, d time.Duration, anyRound bool) (transport.Msg, error) {
 	dim := len(theta)
-	deadline := time.Now().Add(d)
+	var deadline time.Time
+	if ls.ft {
+		deadline = time.Now().Add(d)
+	}
 	for {
 		remain := d
 		if ls.ft {
@@ -461,7 +463,7 @@ func (ls *linkSet) gatherFrom(i, round int, theta tensor.Vec, d time.Duration) (
 		case msg.Kind != transport.KindUpdate:
 			return transport.Msg{}, fmt.Errorf("%w: expected update, got %v from node %d", ErrProtocol, msg.Kind, ls.base+i)
 		}
-		if msg.Round != round {
+		if msg.Round != round && !anyRound {
 			if ls.ft && msg.Round < round {
 				ls.logf("core: discarding stale round-%d update from link %d during round %d", msg.Round, ls.base+i, round)
 				continue
@@ -469,8 +471,6 @@ func (ls *linkSet) gatherFrom(i, round int, theta tensor.Vec, d time.Duration) (
 			return transport.Msg{}, fmt.Errorf("%w: node %d answered round %d during round %d", ErrProtocol, ls.base+i, msg.Round, round)
 		}
 		if msg.Codec != "" || len(msg.Payload) > 0 {
-			// The message is returned alongside the error so the caller can
-			// bill the bytes that did cross the wire.
 			if err := ls.decodeUp(i, round, &msg, theta); err != nil {
 				return msg, err
 			}
@@ -487,55 +487,39 @@ func (ls *linkSet) gatherFrom(i, round int, theta tensor.Vec, d time.Duration) (
 	}
 }
 
-// asyncGather waits up to d for one update from link i, accepting a reply
-// to any round or θ-version — the async loop weighs staleness at apply time
-// instead of discarding late answers, so there is no stale-drain loop here.
-// Codec decode, shape, and NodeID binding are validated exactly like
-// gatherFrom; decode failures return the message alongside the error so the
-// caller can bill the bytes that crossed the wire. theta is the current
-// global vector masked payloads scatter into; its length is the expected
-// update dimension.
-func (ls *linkSet) asyncGather(i, round int, theta tensor.Vec, d time.Duration) (transport.Msg, error) {
-	dim := len(theta)
-	msg, err := ls.ops.recv(i, d)
-	if err != nil {
-		return transport.Msg{}, fmt.Errorf("core: async gather from node %d in round %d: %w", ls.base+i, round, err)
+// gatherFailed settles a failed fault-tolerant gather from link i. A
+// delivered but undecodable update (wire corruption or a broken reference
+// chain) is billed and rejected — the node stays in the federation; any
+// other failure suspects the node.
+func (ls *linkSet) gatherFailed(i, round int, msg transport.Msg, err error) {
+	if errors.Is(err, errDecode) {
+		ls.billUp(i, round, wireBytes(msg))
+		ls.reject(i, round, err)
+		return
 	}
-	switch {
-	case msg.Kind == transport.KindError:
-		return transport.Msg{}, fmt.Errorf("core: node %d failed in round %d: %s", msg.NodeID, round, msg.Err)
-	case msg.Kind != transport.KindUpdate:
-		return transport.Msg{}, fmt.Errorf("%w: expected update, got %v from node %d", ErrProtocol, msg.Kind, ls.base+i)
-	}
-	if msg.Codec != "" || len(msg.Payload) > 0 {
-		if err := ls.decodeUp(i, round, &msg, theta); err != nil {
-			return msg, err
-		}
-		if len(msg.Params) != dim {
-			return msg, fmt.Errorf("%w: node %d payload decoded to %d params, want %d", errDecode, ls.base+i, len(msg.Params), dim)
-		}
-	} else if len(msg.Params) != dim {
-		return transport.Msg{}, fmt.Errorf("%w: node %d sent %d params, want %d", ErrProtocol, ls.base+i, len(msg.Params), dim)
-	}
-	if err := ls.bindNodeID(i, msg.NodeID); err != nil {
-		return transport.Msg{}, err
-	}
-	return msg, nil
+	ls.markSuspect(i, round, err)
 }
 
-// gatherRound runs one node-facing round: broadcast theta (with step count
-// t0) to the selected alive links, re-probe suspects, gather the replies,
-// and vet each one through decode + sanitation. Every surviving update is
-// handed to accept with its local link index; rejected updates are billed
-// and counted but never reach accept. A non-nil error means the run must
-// abort (strict-mode failure, or the alive count fell below MinNodes).
-//
-// selected holds local link indices, already filtered to alive nodes. The
-// suspect re-probe path runs regardless of selection — probing is liveness
-// maintenance, not participation, so a suspect is probed exactly once per
-// round whether or not the sampler would have picked it.
-func (ls *linkSet) gatherRound(round, t0 int, theta tensor.Vec, selected []int, accept func(i int, u tensor.Vec)) error {
-	roundNodes := make([]int, 0, len(selected))
+// reject accounts a delivered update discarded by vetting: the sanitation
+// guard, or an undecodable payload, which also forces a full codec resync
+// so the next exchange re-establishes the link's reference chain.
+func (ls *linkSet) reject(i, round int, cause error) {
+	ls.stats.Rejected++
+	if ls.obs != nil {
+		ls.obs.Observe(obs.Event{Type: obs.TypeReject, Round: round, Node: ls.base + i, Cause: cause.Error()})
+	}
+	if errors.Is(cause, errDecode) {
+		ls.resyncLink(i)
+	}
+	ls.logf("core: rejected update from node %d in round %d: %v", ls.base+i, round, cause)
+}
+
+// broadcast sends θ with step count t0, stamped with θ-version ver (0 on
+// the sync path), to each selected link and returns the links that took it.
+// A failed send suspects the node in fault-tolerant mode and aborts the run
+// otherwise.
+func (ls *linkSet) broadcast(round, t0, ver int, theta tensor.Vec, selected []int) ([]int, error) {
+	sent := make([]int, 0, len(selected))
 	for _, i := range selected {
 		// Ownership of Msg.Params/Payload transfers to the receiver on
 		// Send (see transport.Msg). theta is the caller's reusable
@@ -545,105 +529,51 @@ func (ls *linkSet) gatherRound(round, t0 int, theta tensor.Vec, selected []int, 
 		// (a clone when raw, a freshly encoded payload otherwise).
 		m, err := ls.paramsMsg(theta, i, round, t0, false)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		m.Version = ver
 		nBytes := wireBytes(m)
 		if err := ls.ops.send(i, m); err != nil {
 			if ls.ft {
 				ls.markSuspect(i, round, err)
 				continue
 			}
-			return fmt.Errorf("core: broadcast round %d to node %d: %w", round, ls.base+i, err)
+			return nil, fmt.Errorf("core: broadcast round %d to node %d: %w", round, ls.base+i, err)
 		}
-		roundNodes = append(roundNodes, i)
+		sent = append(sent, i)
 		ls.billDown(i, round, false, nBytes)
 	}
+	return sent, nil
+}
 
-	// Re-probe suspects with the current θ: a dropped node that has
-	// recovered answers like any other and rejoins below. Every probe
-	// resyncs the link's codec chains first — an unanswered probe must
-	// not advance the reference a revived node has never seen.
-	var probeNodes []int
-	if ls.ft {
-		for i := range ls.alive {
-			if ls.alive[i] {
-				continue
-			}
-			m, err := ls.paramsMsg(theta, i, round, t0, true)
-			if err != nil {
-				return err
-			}
-			nBytes := wireBytes(m)
-			if err := ls.ops.trySend(i, m, ls.probeTO); err != nil {
-				continue
-			}
-			probeNodes = append(probeNodes, i)
-			ls.billDown(i, round, true, nBytes)
-		}
+// probe re-offers θ to every suspect in fault-tolerant mode and returns the
+// links that took the offer: a dropped node that has recovered answers like
+// any other and rejoins. The suspect re-probe runs regardless of selection —
+// probing is liveness maintenance, not participation. Every probe resyncs
+// the link's codec chains first, so an unanswered probe cannot advance the
+// reference a revived node has never seen.
+func (ls *linkSet) probe(round, t0, ver int, theta tensor.Vec) ([]int, error) {
+	if !ls.ft {
+		return nil, nil
 	}
-
-	thetaNorm := theta.Norm()
-	deliver := func(i int, msg transport.Msg) {
-		// The message crossed the wire either way; account for it even
-		// when the sanitation guard discards the payload.
-		ls.billUp(i, round, wireBytes(msg))
-		if err := sanitize(tensor.Vec(msg.Params), theta, thetaNorm, ls.c.GuardRadius); err != nil {
-			ls.stats.Rejected++
-			if ls.obs != nil {
-				ls.obs.Observe(obs.Event{Type: obs.TypeReject, Round: round, Node: ls.base + i, Cause: err.Error()})
-			}
-			ls.logf("core: rejected update from node %d in round %d: %v", ls.base+i, round, err)
-			return
+	var probed []int
+	for i := range ls.alive {
+		if ls.alive[i] {
+			continue
 		}
-		accept(i, tensor.Vec(msg.Params))
-	}
-	for _, i := range roundNodes {
-		msg, err := ls.gatherFrom(i, round, theta, ls.c.RoundTimeout)
+		m, err := ls.paramsMsg(theta, i, round, t0, true)
 		if err != nil {
-			if ls.ft && errors.Is(err, errDecode) {
-				// Delivered but undecodable (wire corruption or a broken
-				// reference chain): bill the bytes that arrived, discard
-				// like a sanitation reject, and force a full resync so
-				// the next exchange re-establishes the chain. The node
-				// stays in the federation.
-				ls.billUp(i, round, wireBytes(msg))
-				ls.stats.Rejected++
-				if ls.obs != nil {
-					ls.obs.Observe(obs.Event{Type: obs.TypeReject, Round: round, Node: ls.base + i, Cause: err.Error()})
-				}
-				ls.resyncLink(i)
-				ls.logf("core: rejected update from node %d in round %d: %v", ls.base+i, round, err)
-				continue
-			}
-			if ls.ft {
-				ls.markSuspect(i, round, err)
-				continue
-			}
-			return err
+			return nil, err
 		}
-		if !ls.ft {
-			// Strict mode: a poisoned update aborts the run instead of
-			// degrading it.
-			if err := sanitize(tensor.Vec(msg.Params), theta, thetaNorm, ls.c.GuardRadius); err != nil {
-				return fmt.Errorf("core: node %d round %d: %v", ls.base+i, round, err)
-			}
+		m.Version = ver
+		nBytes := wireBytes(m)
+		if err := ls.ops.trySend(i, m, ls.probeTO); err != nil {
+			continue
 		}
-		deliver(i, msg)
+		probed = append(probed, i)
+		ls.billDown(i, round, true, nBytes)
 	}
-	for _, i := range probeNodes {
-		msg, err := ls.gatherFrom(i, round, theta, ls.probeTO)
-		if err != nil {
-			ls.probeFailed(i)
-			continue // still unreachable; stays suspect
-		}
-		ls.rejoin(i, round)
-		deliver(i, msg)
-	}
-
-	if min := ls.minNodes(); ls.aliveCnt < min {
-		return fmt.Errorf("core: only %d nodes alive, below MinNodes=%d", ls.aliveCnt, min)
-	}
-	return nil
+	return probed, nil
 }
 
 // minNodes resolves the abort threshold for fault-tolerant runs.

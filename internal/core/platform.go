@@ -3,56 +3,17 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
+	"math"
 	"time"
 
-	"github.com/edgeai/fedml/internal/checkpoint"
-	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/tensor"
 	"github.com/edgeai/fedml/internal/transport"
 )
 
-// CommStats accounts for the platform↔edge traffic of one training run.
-type CommStats struct {
-	// Rounds is the number of global aggregations.
-	Rounds int
-	// Messages is the total number of parameter-bearing messages crossing
-	// the platform's transport boundary. Downlink traffic — round
-	// broadcasts and suspect re-probes — is billed per *attempted* send:
-	// the transport offers no delivery acknowledgment, so a message lost
-	// in flight (e.g. a chaos drop) still consumed the platform's uplink
-	// and is counted. Uplink updates are billed per *delivered* message
-	// only, including updates the sanitation guard later rejects; an
-	// update lost in flight is observable only as a gather timeout and is
-	// never counted.
-	Messages int
-	// Bytes is the payload volume of the messages counted above, at
-	// 8 bytes per parameter.
-	Bytes int64
-	// Dropped counts nodes removed by fault-tolerant rounds. A node can be
-	// dropped, rejoin, and be dropped again; each removal counts.
-	Dropped int
-	// Rejoined counts suspect nodes re-admitted after answering a re-probe.
-	Rejoined int
-	// Rejected counts updates discarded by the sanitation guard (non-finite
-	// values or norm explosions past Config.GuardRadius).
-	Rejected int
-	// SkippedRounds counts fault-tolerant rounds that produced no usable
-	// update and therefore aggregated nothing.
-	SkippedRounds int
-	// StaleApplied counts async-mode updates applied at positive staleness
-	// (weighted by StalenessDecay^s). Always zero on the sync path.
-	StaleApplied int
-	// StaleDropped counts async-mode updates discarded because their
-	// staleness exceeded MaxStaleness. Always zero on the sync path.
-	StaleDropped int
-	// BudgetFiltered counts sampled nodes excluded from a round because
-	// their modeled energy or time cost exceeded the per-round budget
-	// (Config.EnergyBudget / Config.RoundDeadline). A filtered node stays in
-	// the federation and may participate again — e.g. once the sync mask
-	// shrinks the per-round traffic below its budget.
-	BudgetFiltered int
-}
+// CommStats accounts for the platform↔edge traffic of one training run. Its
+// counters and their billing rules are documented on transport.ShardStats,
+// the one definition shared with the shard wire format and run snapshots.
+type CommStats transport.ShardStats
 
 // add accumulates other into s field by field.
 func (s *CommStats) add(other CommStats) {
@@ -75,11 +36,11 @@ func (s *CommStats) add(other CommStats) {
 // carrying weight weights[i]; theta0 is not modified.
 //
 // RunPlatform is the one-shard degenerate case of the layered architecture:
-// one linkSet (link layer) feeding one aggCore (aggregation core) covering
-// the whole index space [0, n), steered by the policy layer. RunDirector
-// composes the same layers into a two-tier topology; both produce
-// bit-identical aggregates because every sum follows the aggregation core's
-// fixed merge rule (see aggcore.go).
+// the round engine (engine.go) driving one flat source — a linkSet (link
+// layer) feeding one aggCore (aggregation core) over the whole index space
+// [0, n), steered by the policy layer. RunDirector drives the same engine
+// over shard partials; both produce bit-identical aggregates because every
+// sum follows the aggregation core's fixed merge rule (see aggcore.go).
 //
 // With cfg.RoundTimeout > 0 the platform runs fault-tolerant rounds: it
 // takes ownership of the links (they are closed when training ends), and a
@@ -90,196 +51,268 @@ func (s *CommStats) add(other CommStats) {
 // sanitation guard (see Config.GuardRadius) before aggregation, and with
 // cfg.CheckpointPath set the platform snapshots its state after aggregation
 // rounds and can resume from the snapshot after a crash (cfg.Resume).
+//
+// With cfg.Async set the same loop runs buffered-async rounds instead of
+// gather barriers; see RunAsyncPlatform.
 func RunPlatform(links []transport.Link, weights []float64, theta0 tensor.Vec, cfg Config) (tensor.Vec, CommStats, error) {
-	var stats CommStats
 	c := cfg.normalized()
 	if err := c.Validate(); err != nil {
-		return nil, stats, err
+		return nil, CommStats{}, err
 	}
+	f, err := newFlatSource(c, links, weights, 0)
+	if err != nil {
+		return nil, CommStats{}, err
+	}
+	defer f.ls.finish()
+	theta := theta0.Clone()
+	if err := f.size(len(theta)); err != nil {
+		return nil, f.ls.stats, err
+	}
+	if err := runRounds(c, theta, f); err != nil {
+		return nil, f.ls.stats, err
+	}
+	if err := f.ls.shutdown(); err != nil {
+		return nil, f.ls.stats, err
+	}
+	return theta, f.ls.stats, nil
+}
+
+// flatSource is the round source over node links: the flat platform's, and
+// the one a leaf shard aggregator drives per dispatch. A round is selector →
+// budget filter → broadcast and probe → gather → aggregation core; the
+// async fields switch the gather barrier for RunAsyncPlatform's
+// version-stamped dispatch and quorum sweep (async.go).
+type flatSource struct {
+	c        Config
+	ls       *linkSet
+	weights  []float64 // by local index
+	selector *participationSelector
+	// pi is the uniform inclusion probability; with useHT each sampled
+	// weight is divided by it and the sum normalized by fullW, the
+	// merge-folded weight total of every node, instead of by the
+	// responders' weight — the unbiased (Horvitz–Thompson) estimator. It
+	// engages only when sampling is active; under full participation both
+	// estimators coincide and the responder renormalization keeps its
+	// fault-tolerance semantics.
+	pi    float64
+	useHT bool
+	fullW float64
+
+	// agg and bp are sized by size once the model dimension is known.
+	agg *aggCore
+	bp  *budgetPolicy
+
+	// Async state, nil unless c.Async. pending[i] is the θ-version assigned
+	// to node i and not yet resolved (answered, written off, or suspected);
+	// -1 means the node is free. fresh marks the assignments dispatched in
+	// the current round — the set the quorum is measured against. pollTO is
+	// the per-link poll deadline of the gather sweep.
+	pending []int
+	fresh   []bool
+	pollTO  time.Duration
+}
+
+var _ roundSource = (*flatSource)(nil)
+
+// newFlatSource validates the node fleet (links[k] carries weights[k] and
+// global index base+k) and builds its link layer. c must be normalized and
+// validated; the caller must f.ls.finish() when the run ends.
+func newFlatSource(c Config, links []transport.Link, weights []float64, base int) (*flatSource, error) {
 	if len(links) == 0 {
-		return nil, stats, fmt.Errorf("core: no nodes to federate")
+		return nil, errors.New("core: no nodes to federate")
 	}
 	if len(links) != len(weights) {
-		return nil, stats, fmt.Errorf("core: %d links but %d weights", len(links), len(weights))
+		return nil, fmt.Errorf("core: %d links but %d weights", len(links), len(weights))
 	}
 	var wsum float64
 	for _, w := range weights {
-		if w < 0 {
-			return nil, stats, fmt.Errorf("core: negative aggregation weight %v", w)
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("core: aggregation weight %v must be finite and non-negative", w)
 		}
 		wsum += w
 	}
-	if wsum <= 0 {
-		return nil, stats, fmt.Errorf("core: aggregation weights sum to %v", wsum)
+	if wsum <= 0 || math.IsInf(wsum, 0) {
+		return nil, fmt.Errorf("core: aggregation weights sum to %v", wsum)
 	}
-
-	logf := c.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+	sel := newParticipationSelector(c, len(links), uint64(base))
+	f := &flatSource{
+		c:        c,
+		ls:       newLinkSet(c, links, base),
+		weights:  weights,
+		selector: sel,
+		pi:       sel.inclusionProb(),
+		useHT:    c.UnbiasedParticipation && c.samplingActive(),
+		// Folded with the merge rule so a director's cross-shard fold of
+		// the shards' totals reproduces the flat scalar bit for bit.
+		fullW: foldScalars(base, base+len(links), func(gi int) float64 { return weights[gi-base] }),
 	}
-	ls := newLinkSet(c, links, 0)
-	defer ls.finish()
-
-	theta := theta0.Clone()
-	if c.SyncMask != nil {
-		if err := c.SyncMask.validateDim(len(theta)); err != nil {
-			return nil, stats, err
+	if c.Async {
+		f.pending = make([]int, len(links))
+		for i := range f.pending {
+			f.pending[i] = -1
 		}
+		f.fresh = make([]bool, len(links))
+		// Small enough that a silent straggler cannot stall the sweep,
+		// large enough not to busy-spin the scheduler.
+		f.pollTO = min(max(c.RoundTimeout/64, 200*time.Microsecond), 2*time.Millisecond)
 	}
-	bp, err := newBudgetPolicy(c, weights, 0, len(theta))
+	return f, nil
+}
+
+// checkDim validates the model dimension a round engine aggregates over.
+func checkDim(c Config, dim int) error {
+	if dim == 0 {
+		return errors.New("core: empty initial parameters")
+	}
+	if c.SyncMask != nil {
+		return c.SyncMask.validateDim(dim)
+	}
+	return nil
+}
+
+// size builds the dimension-dependent state: the budget filter and the
+// aggregation core over the source's global index range.
+func (f *flatSource) size(dim int) error {
+	if err := checkDim(f.c, dim); err != nil {
+		return err
+	}
+	bp, err := newBudgetPolicy(f.c, f.weights, f.ls.base, dim)
 	if err != nil {
-		return nil, stats, err
+		return err
 	}
-	agg := newAggCore(0, len(links), len(theta))
-	selector := newParticipationSelector(c, len(links), 0)
-	pi := selector.inclusionProb()
-	// The unbiased correction divides each sampled weight by its inclusion
-	// probability and normalizes by the full-participation weight sum, so
-	// the aggregate is unbiased over the sampling distribution instead of
-	// renormalized over whoever responded. It engages only when sampling is
-	// active; under full participation both estimators coincide and the
-	// responder renormalization keeps its fault-tolerance semantics. The
-	// denominator is folded with the merge rule so flat and sharded runs
-	// stay bit-identical.
-	useHT := c.UnbiasedParticipation && c.samplingActive()
-	var htDenom float64
-	if useHT {
-		htDenom = foldScalars(0, len(links), func(i int) float64 { return weights[i] })
+	f.bp = bp
+	f.agg = newAggCore(f.ls.base, f.ls.base+len(f.weights), dim)
+	return nil
+}
+
+func (f *flatSource) gather(round, t0 int, theta tensor.Vec) (tensor.Vec, float64, int, error) {
+	sum, wsum, count, err := f.collect(round, t0, theta)
+	if f.useHT {
+		wsum = f.fullW
+	}
+	return sum, wsum, count, err
+}
+
+func (f *flatSource) dispersion(theta tensor.Vec, denom float64) float64 {
+	return f.agg.dispersion(theta, denom)
+}
+
+func (f *flatSource) alive() int           { return f.ls.aliveCnt }
+func (f *flatSource) counters() *CommStats { return &f.ls.stats }
+func (f *flatSource) totals() CommStats    { return f.ls.stats }
+
+// collect runs one node-facing round and returns the aggregation core's
+// reduction: the weighted sum, the folded weight sum of the updates in it,
+// and their count. Rejected updates are billed and counted but never reach
+// the core. A non-nil error means the run must abort (strict-mode failure,
+// or the alive count fell below MinNodes).
+func (f *flatSource) collect(round, t0 int, theta tensor.Vec) (tensor.Vec, float64, int, error) {
+	ls := f.ls
+	f.agg.reset()
+	thetaNorm := theta.Norm()
+	// The θ-version is the aggregation count — skipped rounds leave both θ
+	// and the version unchanged, so staleness measures actual drift. The
+	// sync path does not stamp versions.
+	ver := 0
+	if f.pending != nil {
+		ver = ls.stats.Rounds
+		f.writeOff(round, ver, theta, thetaNorm)
+	}
+	selected := f.selector.selectAlive(round, ls.alive)
+	if f.bp != nil {
+		selected = f.bp.filter(round, t0, selected, func(i int, joules float64) {
+			ls.markBudgetFiltered(i, round, joules)
+		})
+	}
+	if f.pending != nil {
+		selected = f.idle(selected)
+	}
+	sent, err := ls.broadcast(round, t0, ver, theta, selected)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	probed, err := ls.probe(round, t0, ver, theta)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if f.pending != nil {
+		f.sweep(round, ver, theta, thetaNorm, sent)
+	} else if err := f.gatherSent(round, theta, thetaNorm, sent); err != nil {
+		return nil, 0, 0, err
 	}
 
-	// prevTheta is the pre-aggregation θ snapshot used to report the update
-	// norm; it is only allocated when an observer is attached, keeping the
-	// nil path allocation-free.
-	var prevTheta tensor.Vec
-	if ls.obs != nil {
-		prevTheta = make(tensor.Vec, len(theta))
+	// Probe gathers: a suspect that answered rejoins, and its reply (at the
+	// probed version, staleness 0) aggregates like any other.
+	for _, i := range probed {
+		msg, err := ls.gatherFrom(i, round, theta, ls.probeTO, false)
+		if err != nil {
+			ls.probeFailed(i)
+			continue // still unreachable; stays suspect
+		}
+		ls.rejoin(i, round)
+		s := 0
+		if f.pending != nil {
+			s = ver - msg.Version
+		}
+		f.deliver(i, round, s, msg, theta, thetaNorm)
 	}
-	// frozenRef snapshots the pre-aggregation θ when the sync mask is frozen:
-	// the weighted average of bit-identical frozen coordinates is not
-	// bit-identical in floating point, so they are restored after ScaleInto.
-	var frozenRef tensor.Vec
-	if c.SyncMask != nil {
-		frozenRef = make(tensor.Vec, len(theta))
+	if min := ls.minNodes(); ls.aliveCnt < min {
+		return nil, 0, 0, fmt.Errorf("core: only %d nodes alive, below MinNodes=%d", ls.aliveCnt, min)
 	}
+	sum, wsum, count := f.agg.reduce()
+	return sum, wsum, count, nil
+}
 
-	var (
-		iter       int
-		dispersion float64
-	)
-	t0 := c.T0
-	startRound := 1
-	ckEvery := c.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = 1
-	}
-	if c.CheckpointPath != "" && c.Resume {
-		st, err := checkpoint.LoadRunState(c.CheckpointPath)
-		switch {
-		case err == nil:
-			if len(st.Theta) != len(theta) {
-				return nil, stats, fmt.Errorf("core: resume: snapshot has %d params, model needs %d", len(st.Theta), len(theta))
+// gatherSent is the sync gather barrier: wait for every broadcast's reply.
+func (f *flatSource) gatherSent(round int, theta tensor.Vec, thetaNorm float64, sent []int) error {
+	ls := f.ls
+	for _, i := range sent {
+		msg, err := ls.gatherFrom(i, round, theta, ls.c.RoundTimeout, false)
+		if err != nil {
+			if !ls.ft {
+				return err
 			}
-			theta.CopyFrom(tensor.Vec(st.Theta))
-			iter = st.Iter
-			t0 = st.T0
-			dispersion = st.Dispersion
-			ls.stats = statsFromSnapshot(st)
-			startRound = st.Round + 1
-			logf("core: resumed from %s: round %d done, iter %d", c.CheckpointPath, st.Round, st.Iter)
-		case errors.Is(err, os.ErrNotExist):
-			// No snapshot yet: start fresh, so supervisors can always
-			// restart the platform with Resume set.
-		default:
-			return nil, stats, err
+			ls.gatherFailed(i, round, msg, err)
+			continue
+		}
+		if err := f.deliver(i, round, 0, msg, theta, thetaNorm); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	consecSkipped := 0
-	for round := startRound; iter < c.T; round++ {
-		t0 = nextT0(c, round, dispersion, t0, c.T-iter)
-		var roundT0 time.Time
-		if ls.obs != nil {
-			roundT0 = time.Now()
-			ls.obs.Observe(obs.Event{Type: obs.TypeRoundStart, Round: round, Iter: iter, T0: t0, Alive: ls.aliveCnt})
-		}
-
-		selected := selector.selectAlive(round, ls.alive)
-		if bp != nil {
-			selected = bp.filter(round, t0, selected, func(i int, joules float64) {
-				ls.markBudgetFiltered(i, round, joules)
-			})
-		}
-		agg.reset()
-		if err := ls.gatherRound(round, t0, theta, selected, func(i int, u tensor.Vec) {
-			w := weights[i]
-			if useHT {
-				w /= pi
-			}
-			agg.accept(i, u, w)
-		}); err != nil {
-			return nil, ls.stats, err
-		}
-
-		sum, selSum, count := agg.reduce()
-		denom := selSum
-		if useHT {
-			denom = htDenom
-		}
-		if count == 0 || denom <= 0 {
-			if ls.ft {
-				ls.stats.SkippedRounds++
-				consecSkipped++
-				if ls.obs != nil {
-					ls.obs.Observe(obs.Event{Type: obs.TypeRoundSkip, Round: round, Iter: iter, T0: t0, Alive: ls.aliveCnt, Dur: time.Since(roundT0)})
-				}
-				logf("core: round %d produced no usable updates (%d alive); skipping aggregation", round, ls.aliveCnt)
-				if consecSkipped > maxConsecutiveSkips {
-					return nil, ls.stats, fmt.Errorf("core: %d consecutive rounds without usable updates (%d nodes alive)", consecSkipped, ls.aliveCnt)
-				}
-				continue
-			}
-			return nil, ls.stats, fmt.Errorf("core: round %d produced no usable updates (%d nodes alive)", round, ls.aliveCnt)
-		}
-		consecSkipped = 0
-
-		// Aggregate into the reused θ buffer (Eq. 5). The updates were
-		// received from the nodes, which relinquished ownership on Send,
-		// so none of them aliases theta or the core's reduction buffer.
-		if ls.obs != nil {
-			prevTheta.CopyFrom(theta)
-		}
-		frozen := c.SyncMask.frozenAt(round)
-		if frozen {
-			frozenRef.CopyFrom(theta)
-		}
-		sum.ScaleInto(1/denom, theta)
-		if frozen {
-			restoreFrozen(theta, frozenRef, c.SyncMask.Ranges)
-		}
-		// Measure the update dispersion around the new aggregate — the
-		// similarity proxy fed back to the T0 controller.
-		dispersion = agg.dispersion(theta, denom)
-		iter += t0
-		ls.stats.Rounds++
-		if ls.obs != nil {
-			ls.obs.Observe(obs.Event{
-				Type: obs.TypeRoundEnd, Round: round, Iter: iter, T0: t0,
-				Alive: ls.aliveCnt, Dur: time.Since(roundT0),
-				Value: theta.Dist(prevTheta), Dispersion: dispersion,
-			})
-		}
-		if c.OnRound != nil {
-			c.OnRound(round, iter, theta)
-		}
-		if c.CheckpointPath != "" && (ls.stats.Rounds%ckEvery == 0 || iter >= c.T) {
-			if err := saveSnapshot(c.CheckpointPath, round, iter, t0, dispersion, theta, ls.stats); err != nil {
-				return nil, ls.stats, err
-			}
-		}
+// deliver vets one arrived update: bill the wire bytes, apply the staleness
+// drop bound (s is the update's staleness, 0 on the sync path), sanitize,
+// and hand the survivor to the aggregation core at its (decayed) weight. In
+// strict mode a poisoned update aborts the run instead of degrading it; that
+// is the only error, so fault-tolerant callers may ignore it.
+func (f *flatSource) deliver(i, round, s int, msg transport.Msg, theta tensor.Vec, thetaNorm float64) error {
+	ls := f.ls
+	u := tensor.Vec(msg.Params)
+	bad := sanitize(u, theta, thetaNorm, f.c.GuardRadius)
+	if bad != nil && !ls.ft {
+		return fmt.Errorf("core: node %d round %d: %v", ls.base+i, round, bad)
 	}
-
-	if err := ls.shutdown(); err != nil {
-		return nil, ls.stats, err
+	// The message crossed the wire either way; account for it even when
+	// the update is discarded below.
+	ls.billUp(i, round, wireBytes(msg))
+	switch {
+	case s > f.c.MaxStaleness:
+		ls.markStaleDrop(i, round, s)
+		return nil
+	case bad != nil:
+		ls.reject(i, round, bad)
+		return nil
 	}
-	return theta, ls.stats, nil
+	w := f.weights[i]
+	if f.useHT {
+		w /= f.pi
+	}
+	if s > 0 {
+		w *= math.Pow(f.c.StalenessDecay, float64(s))
+		ls.markStaleApply(i, round, s)
+	}
+	f.agg.accept(ls.base+i, u, w)
+	return nil
 }

@@ -6,18 +6,16 @@ import (
 	"sort"
 	"time"
 
-	"github.com/edgeai/fedml/internal/checkpoint"
 	"github.com/edgeai/fedml/internal/codec"
 	"github.com/edgeai/fedml/internal/rng"
-	"github.com/edgeai/fedml/internal/tensor"
 )
 
 // This file is the policy layer of the platform: who participates in a
 // round (client sampling), how long the round may take (timeout
-// resolution), how many local steps it runs (the T0 schedule), and when
-// state is persisted (checkpointing). Policy decisions are pure functions
-// of configuration and round number, so the flat platform, a leaf shard,
-// and the director all make identical decisions from the same inputs.
+// resolution), how many local steps it runs (the T0 schedule), and which
+// nodes can afford it (budgets). Policy decisions are pure functions of
+// configuration and round number, so the flat platform, a leaf shard, and
+// the director all make identical decisions from the same inputs.
 
 // maxConsecutiveSkips bounds how many rounds in a row a fault-tolerant
 // aggregator tolerates without a single usable update before giving up.
@@ -301,42 +299,4 @@ func foldScalars(lo, hi int, f func(i int) float64) float64 {
 	}
 	mid := lo + (hi-lo)/2
 	return foldScalars(lo, mid, f) + foldScalars(mid, hi, f)
-}
-
-// saveSnapshot persists the post-aggregation state of a round for crash
-// recovery.
-func saveSnapshot(path string, round, iter, t0 int, dispersion float64, theta tensor.Vec, stats CommStats) error {
-	st := &checkpoint.RunState{
-		Version:        checkpoint.RunStateVersion,
-		Round:          round,
-		Iter:           iter,
-		T0:             t0,
-		Dispersion:     dispersion,
-		Theta:          append([]float64(nil), theta...),
-		Rounds:         stats.Rounds,
-		Messages:       stats.Messages,
-		Bytes:          stats.Bytes,
-		Dropped:        stats.Dropped,
-		Rejoined:       stats.Rejoined,
-		Rejected:       stats.Rejected,
-		SkippedRounds:  stats.SkippedRounds,
-		StaleApplied:   stats.StaleApplied,
-		StaleDropped:   stats.StaleDropped,
-		BudgetFiltered: stats.BudgetFiltered,
-	}
-	if err := checkpoint.SaveRunState(path, st); err != nil {
-		return fmt.Errorf("core: checkpoint round %d: %w", round, err)
-	}
-	return nil
-}
-
-// statsFromSnapshot rebuilds the accounting a snapshot recorded.
-func statsFromSnapshot(st *checkpoint.RunState) CommStats {
-	return CommStats{
-		Rounds: st.Rounds, Messages: st.Messages, Bytes: st.Bytes,
-		Dropped: st.Dropped, Rejoined: st.Rejoined, Rejected: st.Rejected,
-		SkippedRounds: st.SkippedRounds,
-		StaleApplied:  st.StaleApplied, StaleDropped: st.StaleDropped,
-		BudgetFiltered: st.BudgetFiltered,
-	}
 }

@@ -12,8 +12,9 @@ import (
 // RunShardAggregator executes one leaf of the two-tier topology: it owns
 // the node links of the contiguous global index range r (links[k] connects
 // the node with global index r.Lo+k and weight weights[k]), takes round
-// dispatches from the director over up, runs the node-facing round through
-// the same link layer and aggregation core as the flat platform, and sends
+// dispatches from the director over up, runs each node-facing round through
+// the flat platform's round source (flatSource.collect: the same link layer,
+// gather and aggregation core), and sends
 // the shard-weighted partial sum + sample count back upstream as a
 // KindPartial message.
 //
@@ -31,7 +32,7 @@ import (
 // reported upstream as KindError so the director can abort the run.
 func RunShardAggregator(up transport.Link, links []transport.Link, weights []float64, r ShardRange, cfg Config) error {
 	c := cfg.normalized()
-	if err := c.Validate(); err != nil {
+	if err := c.validateSharded(); err != nil {
 		return err
 	}
 	if r.Lo < 0 || r.Hi <= r.Lo {
@@ -40,40 +41,18 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 	if len(links) != r.Hi-r.Lo {
 		return fmt.Errorf("core: shard [%d,%d) needs %d links, got %d", r.Lo, r.Hi, r.Hi-r.Lo, len(links))
 	}
-	if len(links) != len(weights) {
-		return fmt.Errorf("core: %d links but %d weights", len(links), len(weights))
+	f, err := newFlatSource(c, links, weights, r.Lo)
+	if err != nil {
+		return err
 	}
-	var wsum float64
-	for _, w := range weights {
-		if w < 0 {
-			return fmt.Errorf("core: negative aggregation weight %v", w)
-		}
-		wsum += w
-	}
-	if wsum <= 0 {
-		return fmt.Errorf("core: aggregation weights sum to %v", wsum)
-	}
-
-	ls := newLinkSet(c, links, r.Lo)
+	ls := f.ls
 	defer ls.finish()
-	selector := newParticipationSelector(c, len(links), uint64(r.Lo))
-	pi := selector.inclusionProb()
-	correct := c.UnbiasedParticipation && c.samplingActive()
-	// The shard's slice of the unbiased estimator's denominator, folded
-	// with the merge rule so the director's cross-shard fold reproduces
-	// the flat platform's scalar bit for bit.
-	fullW := foldScalars(r.Lo, r.Hi, func(gi int) float64 { return weights[gi-r.Lo] })
 
-	// The aggregation core is sized on the first dispatch, when the model
-	// dimension becomes known.
 	var (
-		agg       *aggCore
-		bp        *budgetPolicy
-		shardMean tensor.Vec
+		shardMean tensor.Vec // sized with f on the first dispatch
 		iter      int
 		lastRound int
 	)
-
 	fail := func(round int, err error) error {
 		_ = up.Send(transport.Msg{
 			Kind:   transport.KindError,
@@ -104,21 +83,14 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 		}
 		lastRound = round
 		theta := tensor.Vec(msg.Params)
-		if agg == nil {
-			if c.SyncMask != nil {
-				if err := c.SyncMask.validateDim(len(theta)); err != nil {
-					return fail(round, err)
-				}
+		if f.agg == nil {
+			if err := f.size(len(theta)); err != nil {
+				return fail(round, err)
 			}
-			var berr error
-			if bp, berr = newBudgetPolicy(c, weights, r.Lo, len(theta)); berr != nil {
-				return fail(round, berr)
-			}
-			agg = newAggCore(r.Lo, r.Hi, len(theta))
 			shardMean = tensor.NewVec(len(theta))
 		}
-		if len(theta) != agg.dim {
-			return fail(round, fmt.Errorf("%w: shard [%d,%d) dispatched %d params, want %d", ErrProtocol, r.Lo, r.Hi, len(theta), agg.dim))
+		if len(theta) != f.agg.dim {
+			return fail(round, fmt.Errorf("%w: shard [%d,%d) dispatched %d params, want %d", ErrProtocol, r.Lo, r.Hi, len(theta), f.agg.dim))
 		}
 		t0 := msg.LocalSteps
 		if t0 <= 0 {
@@ -130,24 +102,10 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 			ls.obs.Observe(obs.Event{Type: obs.TypeRoundStart, Round: round, Iter: iter, T0: t0, Alive: ls.aliveCnt})
 		}
 
-		selected := selector.selectAlive(round, ls.alive)
-		if bp != nil {
-			selected = bp.filter(round, t0, selected, func(i int, joules float64) {
-				ls.markBudgetFiltered(i, round, joules)
-			})
-		}
-		agg.reset()
-		if err := ls.gatherRound(round, t0, theta, selected, func(i int, u tensor.Vec) {
-			w := weights[i]
-			if correct {
-				w /= pi
-			}
-			agg.accept(r.Lo+i, u, w)
-		}); err != nil {
+		sum, selSum, count, err := f.collect(round, t0, theta)
+		if err != nil {
 			return fail(round, err)
 		}
-
-		sum, selSum, count := agg.reduce()
 		iter += t0
 		// The within-shard dispersion (around the shard-local aggregate) is
 		// the shard's half of the hierarchical similarity proxy; the
@@ -155,25 +113,19 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 		var dispersion float64
 		if count > 0 && selSum > 0 {
 			sum.ScaleInto(1/selSum, shardMean)
-			dispersion = agg.dispersion(shardMean, selSum)
+			dispersion = f.agg.dispersion(shardMean, selSum)
+		}
+		if count == 0 {
+			ls.stats.SkippedRounds++
+		} else {
+			ls.stats.Rounds++
 		}
 		if ls.obs != nil {
+			ev := obs.Event{Type: obs.TypeRoundEnd, Round: round, Iter: iter, T0: t0, Alive: ls.aliveCnt, Dur: time.Since(roundT0), Dispersion: dispersion}
 			if count == 0 {
-				ls.stats.SkippedRounds++
-				ls.obs.Observe(obs.Event{Type: obs.TypeRoundSkip, Round: round, Iter: iter, T0: t0, Alive: ls.aliveCnt, Dur: time.Since(roundT0)})
-			} else {
-				ls.stats.Rounds++
-				ls.obs.Observe(obs.Event{
-					Type: obs.TypeRoundEnd, Round: round, Iter: iter, T0: t0,
-					Alive: ls.aliveCnt, Dur: time.Since(roundT0), Dispersion: dispersion,
-				})
+				ev.Type = obs.TypeRoundSkip
 			}
-		} else {
-			if count == 0 {
-				ls.stats.SkippedRounds++
-			} else {
-				ls.stats.Rounds++
-			}
+			ls.obs.Observe(ev)
 		}
 
 		partial := transport.Msg{
@@ -182,11 +134,11 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 			NodeID: r.Lo,
 			Partial: &transport.Partial{
 				Weight:     selSum,
-				FullWeight: fullW,
+				FullWeight: f.fullW,
 				Count:      count,
 				Dispersion: dispersion,
 				Alive:      ls.aliveCnt,
-				Stats:      shardStatsOf(ls.stats),
+				Stats:      transport.ShardStats(ls.stats),
 			},
 		}
 		if count > 0 {
@@ -197,37 +149,5 @@ func RunShardAggregator(up transport.Link, links []transport.Link, weights []flo
 		if err := up.Send(partial); err != nil {
 			return fmt.Errorf("core: shard [%d,%d) send partial for round %d: %w", r.Lo, r.Hi, round, err)
 		}
-	}
-}
-
-// shardStatsOf converts the shard's accounting to its wire form.
-func shardStatsOf(s CommStats) transport.ShardStats {
-	return transport.ShardStats{
-		Rounds:         s.Rounds,
-		Messages:       s.Messages,
-		Bytes:          s.Bytes,
-		Dropped:        s.Dropped,
-		Rejoined:       s.Rejoined,
-		Rejected:       s.Rejected,
-		SkippedRounds:  s.SkippedRounds,
-		StaleApplied:   s.StaleApplied,
-		StaleDropped:   s.StaleDropped,
-		BudgetFiltered: s.BudgetFiltered,
-	}
-}
-
-// statsOfShard converts a shard's wire-form accounting back to CommStats.
-func statsOfShard(s transport.ShardStats) CommStats {
-	return CommStats{
-		Rounds:         s.Rounds,
-		Messages:       s.Messages,
-		Bytes:          s.Bytes,
-		Dropped:        s.Dropped,
-		Rejoined:       s.Rejoined,
-		Rejected:       s.Rejected,
-		SkippedRounds:  s.SkippedRounds,
-		StaleApplied:   s.StaleApplied,
-		StaleDropped:   s.StaleDropped,
-		BudgetFiltered: s.BudgetFiltered,
 	}
 }

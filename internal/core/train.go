@@ -30,6 +30,25 @@ type Result struct {
 // (Algorithm 1 line 3).
 func Train(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Config) (*Result, error) {
 	c := cfg.normalized()
+	theta0, err := trainInputs(m, fed, theta0, c)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{}
+	err = runFleet(m, fed, c, func(links []transport.Link) ([]error, error) {
+		var err error
+		res.Theta, res.Comm, err = RunPlatform(links, fed.Weights(), theta0, c)
+		return nil, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// trainInputs validates the inputs Train and TrainSharded share and resolves
+// a nil theta0 from the model (Algorithm 1 line 3). c must be normalized.
+func trainInputs(m nn.Model, fed *data.Federation, theta0 tensor.Vec, c Config) (tensor.Vec, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -45,20 +64,33 @@ func Train(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Config) (*Re
 	if len(theta0) != m.NumParams() {
 		return nil, fmt.Errorf("core: theta0 has %d params, model needs %d", len(theta0), m.NumParams())
 	}
+	return theta0, nil
+}
 
-	platformLinks := make([]transport.Link, len(fed.Sources))
-	nodeLinks := make([]transport.Link, len(fed.Sources))
+// runFleet is the in-process fleet behind Train and TrainSharded: one
+// RunNode goroutine per source node of fed behind an in-memory link, whose
+// platform-side endpoints (wrapped by c.WrapLink, keyed by global node index
+// — the fault-injection hook resilience tests and the CLI use) are handed
+// to run. run returns its own error plus the errors of any tier it ran
+// between itself and the nodes (the shard aggregators).
+//
+// Teardown closes the platform-side links, so nodes blocked on Recv after a
+// platform-side failure unblock, then collects the node errors. A failure
+// surfaces at every tier; when run fails, the error that carries the root
+// cause is preferred: a node's, then a tier's, then run's own.
+func runFleet(m nn.Model, fed *data.Federation, c Config, run func(links []transport.Link) (tierErrs []error, err error)) error {
+	n := len(fed.Sources)
+	platformLinks := make([]transport.Link, n)
+	nodeLinks := make([]transport.Link, n)
 	for i := range fed.Sources {
 		platformLinks[i], nodeLinks[i] = transport.Pair()
 		if c.WrapLink != nil {
-			// Fault-injection hook: resilience tests and the CLI wrap the
-			// platform-side endpoints in transport.Chaos here.
 			platformLinks[i] = c.WrapLink(i, platformLinks[i])
 		}
 	}
 
 	var wg sync.WaitGroup
-	nodeErrs := make([]error, len(fed.Sources))
+	nodeErrs := make([]error, n)
 	for i, nd := range fed.Sources {
 		wg.Add(1)
 		go func(i int, nd *data.NodeDataset) {
@@ -72,14 +104,8 @@ func Train(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Config) (*Re
 		}(i, nd)
 	}
 
-	run := RunPlatform
-	if c.Async {
-		run = RunAsyncPlatform
-	}
-	theta, stats, platformErr := run(platformLinks, fed.Weights(), theta0, c)
+	tierErrs, runErr := run(platformLinks)
 
-	// Tear down the links so nodes blocked on Recv (after a platform-side
-	// failure) unblock, then collect node errors.
 	for _, l := range platformLinks {
 		_ = l.Close()
 	}
@@ -88,26 +114,26 @@ func Train(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Config) (*Re
 		_ = l.Close()
 	}
 
-	if platformErr != nil {
-		// A node failure surfaces on both sides; prefer the node's error,
-		// which carries the root cause.
-		for _, err := range nodeErrs {
+	if runErr != nil {
+		for _, err := range append(nodeErrs, tierErrs...) {
 			if err != nil && !errors.Is(err, transport.ErrClosed) {
-				return nil, fmt.Errorf("federated training: %w", err)
+				return fmt.Errorf("federated training: %w", err)
 			}
 		}
-		return nil, fmt.Errorf("federated training: %w", platformErr)
+		return fmt.Errorf("federated training: %w", runErr)
+	}
+	for _, err := range tierErrs {
+		if err != nil {
+			return fmt.Errorf("federated training: %w", err)
+		}
 	}
 	for _, err := range nodeErrs {
-		if err == nil {
-			continue
-		}
 		// In fault-tolerant mode dropped (or raced-at-shutdown) nodes see
 		// their link closed by the platform; that is expected, not failure.
-		if c.RoundTimeout > 0 && errors.Is(err, transport.ErrClosed) {
+		if err == nil || c.RoundTimeout > 0 && errors.Is(err, transport.ErrClosed) {
 			continue
 		}
-		return nil, fmt.Errorf("federated training: %w", err)
+		return fmt.Errorf("federated training: %w", err)
 	}
-	return &Result{Theta: theta, Comm: stats}, nil
+	return nil
 }

@@ -88,20 +88,47 @@ type Msg struct {
 	Partial *Partial `json:"partial,omitempty"`
 }
 
-// ShardStats mirrors the platform's communication counters for transit in a
-// Partial, so the shard wire protocol does not depend on internal/core. The
-// semantics match core.CommStats field for field.
+// ShardStats accounts for the platform↔edge traffic of one training run. It
+// is the one definition of the traffic and fault counters: core.CommStats is
+// this type, shard aggregators ship it upstream in every Partial, and
+// checkpoint.RunState persists it, so adding a counter touches one struct.
 type ShardStats struct {
-	Rounds         int   `json:"rounds"`
-	Messages       int   `json:"messages"`
-	Bytes          int64 `json:"bytes"`
-	Dropped        int   `json:"dropped"`
-	Rejoined       int   `json:"rejoined"`
-	Rejected       int   `json:"rejected"`
-	SkippedRounds  int   `json:"skipped_rounds"`
-	StaleApplied   int   `json:"stale_applied"`
-	StaleDropped   int   `json:"stale_dropped"`
-	BudgetFiltered int   `json:"budget_filtered,omitempty"`
+	// Rounds is the number of global aggregations.
+	Rounds int `json:"rounds"`
+	// Messages is the total number of parameter-bearing messages crossing
+	// the platform's transport boundary. Downlink traffic — round
+	// broadcasts and suspect re-probes — is billed per *attempted* send:
+	// the transport offers no delivery acknowledgment, so a message lost
+	// in flight (e.g. a chaos drop) still consumed the platform's uplink
+	// and is counted. Uplink updates are billed per *delivered* message
+	// only, including updates the sanitation guard later rejects; an
+	// update lost in flight is observable only as a gather timeout and is
+	// never counted.
+	Messages int `json:"messages"`
+	// Bytes is the payload volume of the messages counted above: the
+	// encoded payload size, or 8 bytes per raw parameter.
+	Bytes int64 `json:"bytes"`
+	// Dropped counts nodes removed by fault-tolerant rounds. A node can be
+	// dropped, rejoin, and be dropped again; each removal counts.
+	Dropped int `json:"dropped"`
+	// Rejoined counts suspect nodes re-admitted after answering a re-probe.
+	Rejoined int `json:"rejoined"`
+	// Rejected counts updates discarded by the sanitation guard (non-finite
+	// values or norm explosions past the guard radius) or undecodable.
+	Rejected int `json:"rejected"`
+	// SkippedRounds counts fault-tolerant rounds that produced no usable
+	// update and therefore aggregated nothing.
+	SkippedRounds int `json:"skipped_rounds"`
+	// StaleApplied counts async-mode updates applied at positive staleness
+	// (weighted by the staleness decay). Always zero on the sync path.
+	StaleApplied int `json:"stale_applied,omitempty"`
+	// StaleDropped counts async-mode updates discarded because their
+	// staleness exceeded the drop bound. Always zero on the sync path.
+	StaleDropped int `json:"stale_dropped,omitempty"`
+	// BudgetFiltered counts sampled nodes excluded from a round because
+	// their modeled energy or time cost exceeded the per-round budget. A
+	// filtered node stays in the federation and may participate again.
+	BudgetFiltered int `json:"budget_filtered,omitempty"`
 }
 
 // Partial is the metadata block of a shard aggregator's round result. The
