@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race test-short check chaos-smoke obs-smoke codec-smoke shard-smoke async-smoke energy-smoke workloads-smoke profile bench bench-json bench-check bench-paper bench-par bench-scale bench-async bench-energy bench-workloads fuzz fuzz-smoke examples clean
+.PHONY: all build vet test test-race test-short check chaos-smoke obs-smoke codec-smoke shard-smoke async-smoke energy-smoke workloads-smoke examples-smoke profile bench bench-json bench-check bench-paper bench-par bench-scale bench-async bench-energy bench-workloads fuzz fuzz-smoke examples clean
 
 # Scratch directory for generated artifacts (metrics sinks, bench output,
 # profiles); removed by `make clean`, never committed.
@@ -218,6 +218,11 @@ examples:
 	$(GO) run ./examples/sentiment
 	$(GO) run ./examples/robustness
 	$(GO) run ./examples/operations
+
+# Examples smoke: the five library examples end to end. quickstart and
+# robustness run the fast-adaptation and DRO paths at runtime, which
+# `go build ./...` only compiles.
+examples-smoke: examples
 
 clean:
 	$(GO) clean ./...

@@ -185,24 +185,27 @@ func BenchmarkAblationFirstOrder(b *testing.B) {
 }
 
 // BenchmarkAblationHVP compares the analytic softmax Hessian-vector product
-// against the generic central-finite-difference fallback.
+// against the central finite difference the MLP runs (FiniteDiffHVPInto).
 func BenchmarkAblationHVP(b *testing.B) {
 	fed, m := benchFederation(b)
 	r := rng.New(1)
 	theta := m.InitParams(r)
 	v := m.InitParams(r)
 	batch := fed.Sources[0].Test
+	ws := m.NewWorkspace()
+	n := m.NumParams()
+	out, p, g := tensor.NewVec(n), tensor.NewVec(n), tensor.NewVec(n)
 
 	b.Run("analytic", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = m.HVP(theta, batch, v)
+			m.HVPInto(ws, theta, batch, v, out)
 		}
 	})
 	b.Run("finite-difference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = nn.FiniteDiffHVP(m, theta, batch, v)
+			nn.FiniteDiffHVPInto(m, ws, theta, batch, v, out, p, g)
 		}
 	})
 }
@@ -303,15 +306,21 @@ func BenchmarkAblationLocalSteps(b *testing.B) {
 }
 
 // BenchmarkMetaStep is the micro-benchmark of one full meta-update (inner
-// step + outer gradient + HVP correction) on the synthetic model.
+// step + outer gradient + HVP correction, then the β step of Eq. 4) on the
+// synthetic model, against a warm workspace.
 func BenchmarkMetaStep(b *testing.B) {
 	fed, m := benchFederation(b)
 	theta := m.InitParams(rng.New(1))
 	nd := fed.Sources[0]
+	ws := meta.NewWorkspace(m)
+	grad := tensor.NewVec(m.NumParams())
+	next := tensor.NewVec(m.NumParams())
+	ws.GradInto(theta, nd.Train, nd.Test, 0.05, meta.SecondOrder, grad)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = meta.Step(m, theta, nd.Train, nd.Test, 0.05, 0.01, meta.SecondOrder)
+		ws.GradInto(theta, nd.Train, nd.Test, 0.05, meta.SecondOrder, grad)
+		theta.AxpyInto(-0.01, grad, next)
 	}
 }
 
@@ -321,10 +330,13 @@ func BenchmarkFastAdaptation(b *testing.B) {
 	fed, m := benchFederation(b)
 	theta := m.InitParams(rng.New(1))
 	nd := fed.Targets[0]
+	ws := meta.NewWorkspace(m)
+	phi := tensor.NewVec(m.NumParams())
+	ws.AdaptInto(theta, nd.Train, 0.05, 1, phi)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = meta.Adapt(m, theta, nd.Train, 0.05, 1)
+		ws.AdaptInto(theta, nd.Train, 0.05, 1, phi)
 	}
 }
 
@@ -348,13 +360,13 @@ func BenchmarkGradInto(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			theta := tc.m.InitParams(rng.New(1))
-			ws := nn.NewWorkspace(tc.m)
+			ws := tc.m.NewWorkspace()
 			out := tensor.NewVec(tc.m.NumParams())
-			nn.GradInto(tc.m, ws, theta, batch, out)
+			tc.m.GradInto(ws, theta, batch, out)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nn.GradInto(tc.m, ws, theta, batch, out)
+				tc.m.GradInto(ws, theta, batch, out)
 			}
 		})
 	}
@@ -380,22 +392,21 @@ func BenchmarkGradStepInto(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			theta := tc.m.InitParams(rng.New(1))
-			ws := nn.NewWorkspace(tc.m)
-			g := tensor.NewVec(tc.m.NumParams())
+			ws := tc.m.NewWorkspace()
 			out := tensor.NewVec(tc.m.NumParams())
-			nn.GradStepInto(tc.m, ws, theta, batch, 0.05, g, out)
+			tc.m.GradStepInto(ws, theta, batch, 0.05, out)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nn.GradStepInto(tc.m, ws, theta, batch, 0.05, g, out)
+				tc.m.GradStepInto(ws, theta, batch, 0.05, out)
 			}
 		})
 	}
 }
 
 // BenchmarkMetaGradInto measures one full buffered meta-gradient (inner
-// step + outer gradient + HVP correction) — the workspace counterpart of
-// BenchmarkMetaStep's allocating path.
+// step + outer gradient + HVP correction) — BenchmarkMetaStep without the β
+// step.
 func BenchmarkMetaGradInto(b *testing.B) {
 	fed, m := benchFederation(b)
 	theta := m.InitParams(rng.New(1))

@@ -543,6 +543,9 @@ func runAdapt(args []string) error {
 	if *ckPath == "" {
 		return fmt.Errorf("adapt: -checkpoint is required")
 	}
+	if *steps < 0 {
+		return fmt.Errorf("adapt: negative -steps %d", *steps)
+	}
 	ck, err := checkpoint.LoadFile(*ckPath)
 	if err != nil {
 		return err
@@ -570,10 +573,11 @@ func runAdapt(args []string) error {
 	theta := tensor.Vec(ck.Params)
 	fmt.Printf("checkpoint: %s (α=%g)\n", ck.Description, ck.Alpha)
 	fmt.Printf("before adaptation: loss %.4f accuracy %.3f\n",
-		m.Loss(theta, node.Test), nn.Accuracy(m, theta, node.Test))
-	phi := meta.Adapt(m, theta, node.Train, ck.Alpha, *steps)
+		m.LossWith(nil, theta, node.Test), nn.Accuracy(m, theta, node.Test))
+	phi := tensor.NewVec(m.NumParams())
+	meta.NewWorkspace(m).AdaptInto(theta, node.Train, ck.Alpha, *steps, phi)
 	fmt.Printf("after %d step(s):   loss %.4f accuracy %.3f\n",
-		*steps, m.Loss(phi, node.Test), nn.Accuracy(m, phi, node.Test))
+		*steps, m.LossWith(nil, phi, node.Test), nn.Accuracy(m, phi, node.Test))
 	return nil
 }
 

@@ -82,6 +82,27 @@ func TestAdaptRejectsOutOfRangeTarget(t *testing.T) {
 	}
 }
 
+// A negative step count must be rejected by name, not run as zero steps
+// and reported as "after -3 step(s)".
+func TestAdaptRejectsNegativeSteps(t *testing.T) {
+	dir := t.TempDir()
+	ckPath := filepath.Join(dir, "model.json")
+	old := os.Stdout
+	devNull, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	os.Stdout = devNull
+	err := run([]string{"train", "-dataset", "synthetic", "-nodes", "10", "-t", "10", "-t0", "5", "-save", ckPath})
+	if err == nil {
+		err = run([]string{"adapt", "-checkpoint", ckPath, "-nodes", "10", "-steps", "-3"})
+	} else {
+		t.Fatal(err)
+	}
+	os.Stdout = old
+	devNull.Close()
+	if err == nil || !strings.Contains(err.Error(), "negative -steps -3") {
+		t.Errorf("adapt -steps -3: err = %v, want a negative -steps error", err)
+	}
+}
+
 func TestAdaptDetectsDimensionMismatch(t *testing.T) {
 	dir := t.TempDir()
 	ckPath := filepath.Join(dir, "model.json")

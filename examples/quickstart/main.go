@@ -68,7 +68,8 @@ func run() error {
 	//    its K = 5 local samples (Eq. 6 of the paper).
 	target := fed.Targets[0]
 	before := nn.Accuracy(model, res.Theta, target.Test)
-	phi := meta.Adapt(model, res.Theta, target.Train, trainCfg.Alpha, 1)
+	phi := tensor.NewVec(model.NumParams())
+	meta.NewWorkspace(model).AdaptInto(res.Theta, target.Train, trainCfg.Alpha, 1, phi)
 	after := nn.Accuracy(model, phi, target.Test)
 	fmt.Printf("target node: accuracy %.3f before adaptation, %.3f after ONE gradient step on %d samples\n",
 		before, after, len(target.Train))

@@ -19,26 +19,9 @@ import (
 type Cost interface {
 	// Value returns c((x, y), (x0, y)).
 	Value(x, x0 tensor.Vec) float64
-	// Grad returns ∇_x c((x, y), (x0, y)).
-	Grad(x, x0 tensor.Vec) tensor.Vec
-}
-
-// CostGradInto is an optional Cost extension for allocation-free ascent
-// loops: GradInto writes ∇_x c((x, y), (x0, y)) into out, which must have
-// the feature dimension and may not alias x or x0.
-type CostGradInto interface {
-	Cost
+	// GradInto writes ∇_x c((x, y), (x0, y)) into out, which has the
+	// feature dimension and aliases neither x nor x0.
 	GradInto(x, x0, out tensor.Vec)
-}
-
-// costGradInto dispatches to the buffered gradient when the cost supports
-// it, falling back to copying the allocating Grad.
-func costGradInto(c Cost, x, x0, out tensor.Vec) {
-	if ci, ok := c.(CostGradInto); ok {
-		ci.GradInto(x, x0, out)
-		return
-	}
-	out.CopyFrom(c.Grad(x, x0))
 }
 
 // SquaredL2 is the paper's transportation cost c = ‖x − x′‖₂². It is
@@ -46,10 +29,7 @@ func costGradInto(c Cost, x, x0, out tensor.Vec) {
 // ‖·‖² dominates).
 type SquaredL2 struct{}
 
-var (
-	_ Cost         = SquaredL2{}
-	_ CostGradInto = SquaredL2{}
-)
+var _ Cost = SquaredL2{}
 
 // Value implements Cost.
 func (SquaredL2) Value(x, x0 tensor.Vec) float64 {
@@ -57,22 +37,11 @@ func (SquaredL2) Value(x, x0 tensor.Vec) float64 {
 	return d * d
 }
 
-// Grad implements Cost.
-func (SquaredL2) Grad(x, x0 tensor.Vec) tensor.Vec {
-	g := x.Sub(x0)
-	g.ScaleInPlace(2)
-	return g
-}
-
-// GradInto implements CostGradInto: out = 2(x − x0).
+// GradInto implements Cost: out = 2(x − x0).
 func (SquaredL2) GradInto(x, x0, out tensor.Vec) {
 	x.SubInto(x0, out)
 	out.ScaleInPlace(2)
 }
-
-// ErrNoInputGrad is returned when the model cannot differentiate its loss
-// with respect to the input features.
-var ErrNoInputGrad = errors.New("dro: model does not implement nn.InputGradienter")
 
 // PerturbConfig parameterizes the inner-maximization ascent of Algorithm 2
 // (lines 17–20).
@@ -115,10 +84,11 @@ func Perturb(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Sample, cf
 	if err := cfg.validate(); err != nil {
 		return data.Sample{}, err
 	}
-	ig, ok := m.(nn.InputGradienter)
-	if !ok {
-		return data.Sample{}, fmt.Errorf("%w (%T)", ErrNoInputGrad, m)
-	}
+	return perturb(m, m.NewWorkspace(), params, s, ctx, cfg), nil
+}
+
+// perturb is Perturb for a validated cfg, running every ascent step on ws.
+func perturb(m nn.Model, ws nn.Workspace, params tensor.Vec, s data.Sample, ctx []data.Sample, cfg PerturbConfig) data.Sample {
 	x0 := s.X
 	cur := data.Sample{X: x0.Clone(), Y: s.Y}
 	// The penalty term makes the ascent objective λ·μ_c-strongly concave
@@ -130,17 +100,16 @@ func Perturb(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Sample, cf
 			nu = limit
 		}
 	}
-	// One workspace and two feature-sized buffers serve all ascent steps.
-	ws := nn.NewWorkspace(m)
+	// Two feature-sized buffers serve all ascent steps.
 	g := tensor.NewVec(len(x0))
 	var costG tensor.Vec
 	if cfg.Lambda != 0 {
 		costG = tensor.NewVec(len(x0))
 	}
 	for step := 0; step < cfg.Steps; step++ {
-		nn.InputGradInto(ig, ws, params, cur, ctx, g)
+		m.InputGradInto(ws, params, cur, ctx, g)
 		if cfg.Lambda != 0 {
-			costGradInto(cfg.Cost, cur.X, x0, costG)
+			cfg.Cost.GradInto(cur.X, x0, costG)
 			g.Axpy(-cfg.Lambda, costG)
 		}
 		cur.X.Axpy(nu, g)
@@ -148,7 +117,7 @@ func Perturb(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Sample, cf
 			cur.X.ClampInPlace(cfg.ClampMin, cfg.ClampMax)
 		}
 	}
-	return cur, nil
+	return cur
 }
 
 // SurrogateLoss estimates the robust surrogate l_λ(θ, s) by running Perturb
@@ -159,7 +128,7 @@ func SurrogateLoss(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Samp
 	if err != nil {
 		return 0, err
 	}
-	return m.Loss(params, []data.Sample{adv}) - cfg.Lambda*cfg.Cost.Value(adv.X, s.X), nil
+	return m.LossWith(nil, params, []data.Sample{adv}) - cfg.Lambda*cfg.Cost.Value(adv.X, s.X), nil
 }
 
 // RobustAdapt performs the target-side counterpart of Eq. 8: `steps`
@@ -175,18 +144,18 @@ func RobustAdapt(m nn.Model, theta tensor.Vec, adaptSet []data.Sample, alpha flo
 	if steps < 0 {
 		return nil, fmt.Errorf("dro: negative adaptation steps %d", steps)
 	}
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("dro: robust adapt: %w", err)
+	}
+	ws := m.NewWorkspace()
 	phi := theta.Clone()
+	combined := make([]data.Sample, 2*len(adaptSet))
+	copy(combined, adaptSet)
 	for s := 0; s < steps; s++ {
-		combined := make([]data.Sample, 0, 2*len(adaptSet))
-		combined = append(combined, adaptSet...)
 		for i, sample := range adaptSet {
-			adv, err := Perturb(m, phi, sample, adaptSet, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("dro: robust adapt step %d sample %d: %w", s, i, err)
-			}
-			combined = append(combined, adv)
+			combined[len(adaptSet)+i] = perturb(m, ws, phi, sample, adaptSet, cfg)
 		}
-		phi.Axpy(-alpha, m.Grad(phi, combined))
+		m.GradStepInto(ws, phi, combined, alpha, phi)
 	}
 	return phi, nil
 }
@@ -196,22 +165,11 @@ func RobustAdapt(m nn.Model, theta tensor.Vec, adaptSet []data.Sample, alpha flo
 // clamped to [clampMin, clampMax] (no clamping when equal). This is the
 // attack the paper uses to evaluate (robust) FedML at the target node.
 func FGSM(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Sample, xi, clampMin, clampMax float64) (data.Sample, error) {
-	ig, ok := m.(nn.InputGradienter)
-	if !ok {
-		return data.Sample{}, fmt.Errorf("%w (%T)", ErrNoInputGrad, m)
+	advs, err := fgsmBatch(m, params, []data.Sample{s}, ctx, xi, clampMin, clampMax)
+	if err != nil {
+		return data.Sample{}, err
 	}
-	if xi < 0 {
-		return data.Sample{}, fmt.Errorf("dro: negative FGSM budget %v", xi)
-	}
-	g := ig.InputGrad(params, s, ctx)
-	x := s.X.Clone()
-	for i := range x {
-		x[i] += xi * tensor.Sign(g[i])
-	}
-	if clampMax > clampMin {
-		x.ClampInPlace(clampMin, clampMax)
-	}
-	return data.Sample{X: x, Y: s.Y}, nil
+	return advs[0], nil
 }
 
 // PGDL2 runs a projected-gradient-descent attack inside an ℓ2 ball of
@@ -220,51 +178,58 @@ func FGSM(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Sample, xi, c
 // box). This is the attack whose threat model matches the Wasserstein-DRO
 // training objective (c = ‖x−x′‖²), complementing the ℓ∞ FGSM evaluation.
 func PGDL2(m nn.Model, params tensor.Vec, s data.Sample, ctx []data.Sample, eps, stepSize float64, steps int, clampMin, clampMax float64) (data.Sample, error) {
-	ig, ok := m.(nn.InputGradienter)
-	if !ok {
-		return data.Sample{}, fmt.Errorf("%w (%T)", ErrNoInputGrad, m)
+	advs, err := pgdL2Batch(m, params, []data.Sample{s}, ctx, eps, stepSize, steps, clampMin, clampMax)
+	if err != nil {
+		return data.Sample{}, err
 	}
-	switch {
-	case eps < 0:
-		return data.Sample{}, fmt.Errorf("dro: negative PGD radius %v", eps)
-	case stepSize <= 0:
-		return data.Sample{}, fmt.Errorf("dro: PGD step size must be positive, got %v", stepSize)
-	case steps <= 0:
-		return data.Sample{}, fmt.Errorf("dro: PGD steps must be positive, got %d", steps)
-	case clampMax < clampMin:
-		return data.Sample{}, fmt.Errorf("dro: clamp range [%v, %v] inverted", clampMin, clampMax)
-	}
-	x0 := s.X
-	cur := data.Sample{X: x0.Clone(), Y: s.Y}
-	for step := 0; step < steps; step++ {
-		g := ig.InputGrad(params, cur, ctx)
-		// Normalized ascent direction keeps the step scale-free.
-		if n := g.Norm(); n > 0 {
-			g.ScaleInPlace(1 / n)
-		}
-		cur.X.Axpy(stepSize, g)
-		// Project back onto the ℓ2 ball around x0.
-		delta := cur.X.Sub(x0)
-		if n := delta.Norm(); n > eps {
-			delta.ScaleInPlace(eps / n)
-			cur.X = x0.Add(delta)
-		}
-		if clampMax > clampMin {
-			cur.X.ClampInPlace(clampMin, clampMax)
-		}
-	}
-	return cur, nil
+	return advs[0], nil
 }
 
 // PGDL2Batch attacks every sample of batch inside the same ℓ2 budget.
 func PGDL2Batch(m nn.Model, params tensor.Vec, batch []data.Sample, eps, stepSize float64, steps int, clampMin, clampMax float64) ([]data.Sample, error) {
+	return pgdL2Batch(m, params, batch, batch, eps, stepSize, steps, clampMin, clampMax)
+}
+
+// pgdL2Batch runs PGDL2 on every sample of batch against the reference
+// statistics of ctx, with one workspace and gradient buffer for the batch.
+func pgdL2Batch(m nn.Model, params tensor.Vec, batch, ctx []data.Sample, eps, stepSize float64, steps int, clampMin, clampMax float64) ([]data.Sample, error) {
+	switch {
+	case eps < 0:
+		return nil, fmt.Errorf("dro: negative PGD radius %v", eps)
+	case stepSize <= 0:
+		return nil, fmt.Errorf("dro: PGD step size must be positive, got %v", stepSize)
+	case steps <= 0:
+		return nil, fmt.Errorf("dro: PGD steps must be positive, got %d", steps)
+	case clampMax < clampMin:
+		return nil, fmt.Errorf("dro: clamp range [%v, %v] inverted", clampMin, clampMax)
+	}
+	ws := m.NewWorkspace()
 	out := make([]data.Sample, len(batch))
+	var g tensor.Vec
 	for i, s := range batch {
-		adv, err := PGDL2(m, params, s, batch, eps, stepSize, steps, clampMin, clampMax)
-		if err != nil {
-			return nil, fmt.Errorf("attack sample %d: %w", i, err)
+		x0 := s.X
+		cur := data.Sample{X: x0.Clone(), Y: s.Y}
+		if len(g) != len(x0) {
+			g = tensor.NewVec(len(x0))
 		}
-		out[i] = adv
+		for step := 0; step < steps; step++ {
+			m.InputGradInto(ws, params, cur, ctx, g)
+			// Normalized ascent direction keeps the step scale-free.
+			if n := g.Norm(); n > 0 {
+				g.ScaleInPlace(1 / n)
+			}
+			cur.X.Axpy(stepSize, g)
+			// Project back onto the ℓ2 ball around x0.
+			delta := cur.X.Sub(x0)
+			if n := delta.Norm(); n > eps {
+				delta.ScaleInPlace(eps / n)
+				cur.X = x0.Add(delta)
+			}
+			if clampMax > clampMin {
+				cur.X.ClampInPlace(clampMin, clampMax)
+			}
+		}
+		out[i] = cur
 	}
 	return out, nil
 }
@@ -272,13 +237,31 @@ func PGDL2Batch(m nn.Model, params tensor.Vec, batch []data.Sample, eps, stepSiz
 // FGSMBatch attacks every sample of batch (each with the same budget),
 // returning the adversarial test set used by the Figure 4 evaluation.
 func FGSMBatch(m nn.Model, params tensor.Vec, batch []data.Sample, xi, clampMin, clampMax float64) ([]data.Sample, error) {
+	return fgsmBatch(m, params, batch, batch, xi, clampMin, clampMax)
+}
+
+// fgsmBatch runs FGSM on every sample of batch against the reference
+// statistics of ctx, with one workspace and gradient buffer for the batch.
+func fgsmBatch(m nn.Model, params tensor.Vec, batch, ctx []data.Sample, xi, clampMin, clampMax float64) ([]data.Sample, error) {
+	if xi < 0 {
+		return nil, fmt.Errorf("dro: negative FGSM budget %v", xi)
+	}
+	ws := m.NewWorkspace()
 	out := make([]data.Sample, len(batch))
+	var g tensor.Vec
 	for i, s := range batch {
-		adv, err := FGSM(m, params, s, batch, xi, clampMin, clampMax)
-		if err != nil {
-			return nil, fmt.Errorf("attack sample %d: %w", i, err)
+		if len(g) != len(s.X) {
+			g = tensor.NewVec(len(s.X))
 		}
-		out[i] = adv
+		m.InputGradInto(ws, params, s, ctx, g)
+		x := s.X.Clone()
+		for j := range x {
+			x[j] += xi * tensor.Sign(g[j])
+		}
+		if clampMax > clampMin {
+			x.ClampInPlace(clampMin, clampMax)
+		}
+		out[i] = data.Sample{X: x, Y: s.Y}
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package dro
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -32,7 +31,7 @@ func trainedSoftmax(t *testing.T) (*nn.SoftmaxRegression, tensor.Vec, []data.Sam
 	}
 	p := m.InitParams(r)
 	for step := 0; step < 200; step++ {
-		p.Axpy(-0.5, m.Grad(p, batch))
+		m.GradStepInto(nil, p, batch, 0.5, p)
 	}
 	return m, p, batch
 }
@@ -44,9 +43,10 @@ func TestSquaredL2Cost(t *testing.T) {
 	if got := c.Value(x, x0); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Value = %v, want 5", got)
 	}
-	g := c.Grad(x, x0)
+	g := tensor.NewVec(2)
+	c.GradInto(x, x0, g)
 	if g[0] != 2 || g[1] != 4 {
-		t.Errorf("Grad = %v, want [2 4]", g)
+		t.Errorf("GradInto = %v, want [2 4]", g)
 	}
 	if c.Value(x, x) != 0 {
 		t.Error("c(x,x) must be 0")
@@ -57,7 +57,8 @@ func TestSquaredL2GradMatchesNumerical(t *testing.T) {
 	c := SquaredL2{}
 	x := tensor.Vec{0.5, -1.5, 2}
 	x0 := tensor.Vec{0.1, 0.2, 0.3}
-	g := c.Grad(x, x0)
+	g := tensor.NewVec(3)
+	c.GradInto(x, x0, g)
 	const eps = 1e-6
 	for i := range x {
 		orig := x[i]
@@ -77,12 +78,12 @@ func TestPerturbIncreasesLoss(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
 	cfg := PerturbConfig{Lambda: 0.1, Nu: 0.5, Steps: 10, Cost: SquaredL2{}}
 	s := batch[0]
-	before := m.Loss(p, []data.Sample{s})
+	before := m.LossWith(nil, p, []data.Sample{s})
 	adv, err := Perturb(m, p, s, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := m.Loss(p, []data.Sample{adv})
+	after := m.LossWith(nil, p, []data.Sample{adv})
 	if after <= before {
 		t.Errorf("perturbation did not increase loss: %v -> %v", before, after)
 	}
@@ -142,26 +143,11 @@ func TestPerturbValidation(t *testing.T) {
 	}
 }
 
-// modelWithoutInputGrad hides the InputGradienter implementation.
-type modelWithoutInputGrad struct{ nn.Model }
-
-func TestPerturbRequiresInputGrad(t *testing.T) {
-	m, p, batch := trainedSoftmax(t)
-	wrapped := modelWithoutInputGrad{m}
-	cfg := PerturbConfig{Lambda: 1, Nu: 1, Steps: 1, Cost: SquaredL2{}}
-	if _, err := Perturb(wrapped, p, batch[0], nil, cfg); !errors.Is(err, ErrNoInputGrad) {
-		t.Errorf("err = %v, want ErrNoInputGrad", err)
-	}
-	if _, err := FGSM(wrapped, p, batch[0], nil, 0.1, 0, 0); !errors.Is(err, ErrNoInputGrad) {
-		t.Errorf("FGSM err = %v, want ErrNoInputGrad", err)
-	}
-}
-
 func TestSurrogateLossAtLeastCleanLossMinusPenalty(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
 	cfg := PerturbConfig{Lambda: 0.5, Nu: 0.3, Steps: 10, Cost: SquaredL2{}}
 	s := batch[1]
-	clean := m.Loss(p, []data.Sample{s})
+	clean := m.LossWith(nil, p, []data.Sample{s})
 	sur, err := SurrogateLoss(m, p, s, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -176,13 +162,13 @@ func TestSurrogateLossAtLeastCleanLossMinusPenalty(t *testing.T) {
 func TestFGSMIncreasesLossAndScalesWithXi(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
 	s := batch[2]
-	clean := m.Loss(p, []data.Sample{s})
+	clean := m.LossWith(nil, p, []data.Sample{s})
 	lossAt := func(xi float64) float64 {
 		adv, err := FGSM(m, p, s, nil, xi, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.Loss(p, []data.Sample{adv})
+		return m.LossWith(nil, p, []data.Sample{adv})
 	}
 	small := lossAt(0.05)
 	big := lossAt(0.5)
@@ -257,13 +243,13 @@ func TestPGDL2StaysInBall(t *testing.T) {
 func TestPGDL2IncreasesLossAndScalesWithEps(t *testing.T) {
 	m, p, batch := trainedSoftmax(t)
 	s := batch[1]
-	clean := m.Loss(p, []data.Sample{s})
+	clean := m.LossWith(nil, p, []data.Sample{s})
 	lossAt := func(eps float64) float64 {
 		adv, err := PGDL2(m, p, s, nil, eps, eps/4, 15, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.Loss(p, []data.Sample{adv})
+		return m.LossWith(nil, p, []data.Sample{adv})
 	}
 	small := lossAt(0.2)
 	big := lossAt(2)
@@ -289,9 +275,6 @@ func TestPGDL2Validation(t *testing.T) {
 	}
 	if _, err := PGDL2(m, p, s, nil, 1, 0.1, 5, 1, 0); err == nil {
 		t.Error("inverted clamp accepted")
-	}
-	if _, err := PGDL2(modelWithoutInputGrad{m}, p, s, nil, 1, 0.1, 5, 0, 0); !errors.Is(err, ErrNoInputGrad) {
-		t.Error("missing input gradient not detected")
 	}
 }
 
@@ -363,7 +346,7 @@ func TestRobustAdaptHardensAgainstAttack(t *testing.T) {
 
 	plain := p.Clone()
 	for s := 0; s < steps; s++ {
-		plain.Axpy(-alpha, m.Grad(plain, adaptSet))
+		m.GradStepInto(nil, plain, adaptSet, alpha, plain)
 	}
 	cfg := PerturbConfig{Lambda: 0.05, Nu: 0.5, Steps: 5, Cost: SquaredL2{}}
 	robust, err := RobustAdapt(m, p, adaptSet, alpha, steps, cfg)

@@ -111,7 +111,7 @@ func TestCompareAlgorithmsEndToEnd(t *testing.T) {
 	_ = all
 	for i := 0; i < 50; i++ {
 		for _, nd := range fed.Sources {
-			thetaGood.Axpy(-0.02, m.Grad(thetaGood, nd.Train))
+			m.GradStepInto(nil, thetaGood, nd.Train, 0.02, thetaGood)
 		}
 	}
 	thetaBad := m.InitParams(rng.New(2))

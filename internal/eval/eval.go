@@ -119,18 +119,16 @@ func AdaptationCurve(m nn.Model, theta tensor.Vec, node *data.NodeDataset, alpha
 	curve := make([]AdaptPoint, 0, maxSteps+1)
 	// One workspace serves the whole curve: each adaptation step is the
 	// fused gradient+step kernel and each loss evaluation reuses the same
-	// scratch, instead of allocating per step. Numbers are unchanged — the
-	// buffered kernels are bit-identical to the allocating ones.
-	ws := nn.NewWorkspace(m)
-	g := tensor.NewVec(m.NumParams())
+	// scratch, instead of allocating per step.
+	ws := m.NewWorkspace()
 	phi := theta.Clone()
 	for step := 0; step <= maxSteps; step++ {
 		if step > 0 {
-			nn.GradStepInto(m, ws, phi, node.Train, alpha, g, phi)
+			m.GradStepInto(ws, phi, node.Train, alpha, phi)
 		}
 		curve = append(curve, AdaptPoint{
 			Step:     step,
-			Loss:     nn.LossWith(m, ws, phi, node.Test),
+			Loss:     m.LossWith(ws, phi, node.Test),
 			Accuracy: nn.Accuracy(m, phi, node.Test),
 		})
 	}
@@ -181,12 +179,11 @@ func averageCurves(curves [][]AdaptPoint, maxSteps int) []AdaptPoint {
 // parameters) — the Figure 4 protocol. Entry 0 is the un-adapted model.
 func AdversarialAdaptationCurve(m nn.Model, theta tensor.Vec, node *data.NodeDataset, alpha float64, maxSteps int, xi, clampMin, clampMax float64) ([]AdaptPoint, error) {
 	curve := make([]AdaptPoint, 0, maxSteps+1)
-	ws := nn.NewWorkspace(m)
-	g := tensor.NewVec(m.NumParams())
+	ws := m.NewWorkspace()
 	phi := theta.Clone()
 	for step := 0; step <= maxSteps; step++ {
 		if step > 0 {
-			nn.GradStepInto(m, ws, phi, node.Train, alpha, g, phi)
+			m.GradStepInto(ws, phi, node.Train, alpha, phi)
 		}
 		advTest, err := dro.FGSMBatch(m, phi, node.Test, xi, clampMin, clampMax)
 		if err != nil {
@@ -194,7 +191,7 @@ func AdversarialAdaptationCurve(m nn.Model, theta tensor.Vec, node *data.NodeDat
 		}
 		curve = append(curve, AdaptPoint{
 			Step:     step,
-			Loss:     nn.LossWith(m, ws, phi, advTest),
+			Loss:     m.LossWith(ws, phi, advTest),
 			Accuracy: nn.Accuracy(m, phi, advTest),
 		})
 	}

@@ -9,7 +9,6 @@ import (
 	"github.com/edgeai/fedml/internal/data"
 	"github.com/edgeai/fedml/internal/eval"
 	"github.com/edgeai/fedml/internal/fedavg"
-	"github.com/edgeai/fedml/internal/fedprox"
 	"github.com/edgeai/fedml/internal/nn"
 	"github.com/edgeai/fedml/internal/obs"
 	"github.com/edgeai/fedml/internal/par"
@@ -54,7 +53,8 @@ type ExtWorkloadConfig struct {
 	// AdaptSteps is the per-node adaptation budget of the personalized
 	// column.
 	AdaptSteps int
-	// Mu is FedProx's proximal coefficient.
+	// Mu is FedProx's proximal coefficient; it must be positive, or the
+	// fedprox arm would silently be FedAvg.
 	Mu float64
 	// Codec, SyncMask, and Async thread the platform knobs through the
 	// fedml arm: wire codec spec ("" = raw), partial-sync mask spec (e.g.
@@ -133,6 +133,9 @@ type ExtWorkloadResult struct {
 // and fan out on the worker pool; every arm rebuilds its own federation from
 // the shared seed, so results are bit-identical for every worker count.
 func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
+	if cfg.Mu <= 0 {
+		return nil, fmt.Errorf("ext-%s: fedprox proximal coefficient must be positive, got %v", cfg.Workload, cfg.Mu)
+	}
 	arms := []string{"fedml", "fedavg", "fedprox", "repshare"}
 	pers := make([]eval.Personalization, len(arms))
 	var accVsKiB *eval.Series
@@ -202,8 +205,8 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 			}
 			theta = res.Theta
 		case "fedprox":
-			res, err := fedprox.Train(m, fed, nil, fedprox.Config{
-				Eta: cfg.Eta, Mu: cfg.Mu, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Workers: 1,
+			res, err := fedavg.Train(m, fed, nil, fedavg.Config{
+				Eta: cfg.Eta, ProxMu: cfg.Mu, T: cfg.T, T0: cfg.T0, Seed: cfg.Seed, Workers: 1,
 			})
 			if err != nil {
 				return fmt.Errorf("ext-%s train fedprox: %w", cfg.Workload, err)

@@ -94,3 +94,14 @@ func TestExtWorkloadRejectsUnknownWorkload(t *testing.T) {
 		t.Error("unknown workload accepted")
 	}
 }
+
+// A zero or negative μ would silently turn the fedprox arm into FedAvg.
+func TestExtWorkloadRejectsNonPositiveMu(t *testing.T) {
+	for _, mu := range []float64{0, -0.1} {
+		cfg := DefaultExtWorkloadConfig("rec", ScaleCI)
+		cfg.Mu = mu
+		if _, err := RunExtWorkload(cfg); err == nil || !strings.Contains(err.Error(), "proximal coefficient") {
+			t.Errorf("μ=%v: err = %v, want a proximal coefficient error", mu, err)
+		}
+	}
+}

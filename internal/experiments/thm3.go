@@ -8,6 +8,7 @@ import (
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/meta"
 	"github.com/edgeai/fedml/internal/par"
+	"github.com/edgeai/fedml/internal/tensor"
 )
 
 // Theorem 3 bounds the target's post-adaptation optimality gap by (among
@@ -95,15 +96,18 @@ func RunThm3(cfg Thm3Config) (*Thm3Result, error) {
 	res := &Thm3Result{Points: make([]Thm3Point, len(fed.Targets))}
 	par.ForEach(cfg.Workers, len(fed.Targets), func(ti int) {
 		node := fed.Targets[ti]
-		all := node.All()
+		ws := meta.NewWorkspace(m)
 		// θ*_t: the target's own (regularized) optimum on its full data.
-		thetaT := meta.Adapt(m, thetaC, all, cfg.Alpha, cfg.OptSteps)
+		thetaT := tensor.NewVec(m.NumParams())
+		ws.AdaptInto(thetaC, node.All(), cfg.Alpha, cfg.OptSteps, thetaT)
 
 		// One-step adaptation from the meta-model vs from θ*_t, both
 		// evaluated on the target's test split (L*_t stand-in).
-		phiC := meta.Adapt(m, thetaC, node.Train, cfg.Alpha, 1)
-		phiT := meta.Adapt(m, thetaT, node.Train, cfg.Alpha, 1)
-		gap := m.Loss(phiC, node.Test) - m.Loss(phiT, node.Test)
+		phiC := tensor.NewVec(m.NumParams())
+		ws.AdaptInto(thetaC, node.Train, cfg.Alpha, 1, phiC)
+		phiT := tensor.NewVec(m.NumParams())
+		ws.AdaptInto(thetaT, node.Train, cfg.Alpha, 1, phiT)
+		gap := m.LossWith(nil, phiC, node.Test) - m.LossWith(nil, phiT, node.Test)
 
 		res.Points[ti] = Thm3Point{
 			Target:        ti,

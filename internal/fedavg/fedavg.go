@@ -107,12 +107,12 @@ func Train(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Config) (*Re
 	// par.ForEachWorkerErr owns fresh slots per call.
 	type workerScratch struct {
 		ws nn.Workspace
-		g  tensor.Vec // gradient buffer
+		g  tensor.Vec // gradient buffer of the proximal step
 	}
 	np := m.NumParams()
 	scratch := make([]workerScratch, par.Span(cfg.Workers, len(fed.Sources)))
 	for w := range scratch {
-		scratch[w] = workerScratch{ws: nn.NewWorkspace(m), g: tensor.NewVec(np)}
+		scratch[w] = workerScratch{ws: m.NewWorkspace(), g: tensor.NewVec(np)}
 	}
 	updates := make([]tensor.Vec, len(fed.Sources))
 	for i := range updates {
@@ -145,12 +145,12 @@ func Train(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Config) (*Re
 					// ∇[(μ/2)‖θ_i − θ_global‖²] = μ(θ_i − θ_global); the
 					// proximal term modifies the gradient, so the step
 					// cannot fuse.
-					nn.GradInto(m, sc.ws, ti, local[i], sc.g)
+					m.GradInto(sc.ws, ti, local[i], sc.g)
 					sc.g.Axpy(cfg.ProxMu, ti)
 					sc.g.Axpy(-cfg.ProxMu, theta)
 					ti.Axpy(-cfg.Eta, sc.g)
 				} else {
-					nn.GradStepInto(m, sc.ws, ti, local[i], cfg.Eta, sc.g, ti)
+					m.GradStepInto(sc.ws, ti, local[i], cfg.Eta, ti)
 				}
 			}
 			if !ti.IsFinite() {

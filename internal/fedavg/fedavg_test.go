@@ -32,7 +32,7 @@ func globalLoss(m nn.Model, fed *data.Federation, theta tensor.Vec) float64 {
 	w := fed.Weights()
 	var total float64
 	for i, nd := range fed.Sources {
-		total += w[i] * m.Loss(theta, nd.All())
+		total += w[i] * m.LossWith(nil, theta, nd.All())
 	}
 	return total
 }
@@ -167,6 +167,26 @@ func TestFedProxStillLearns(t *testing.T) {
 	}
 }
 
+// The proximal local step takes its own (unfused) path; the round events
+// and the OnRound callback must still fire once per aggregation.
+func TestFedProxObserverAndOnRound(t *testing.T) {
+	fed := tinyFederation(t)
+	m := &nn.SoftmaxRegression{In: fed.Dim, Classes: fed.NumClasses}
+	rec := obs.NewRecorder()
+	var iters []int
+	cfg := Config{Eta: 0.05, ProxMu: 0.5, T: 20, T0: 5, Observer: rec,
+		OnRound: func(round, iter int, _ tensor.Vec) { iters = append(iters, iter) }}
+	if _, err := Train(m, fed, nil, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Rounds()) != 4 {
+		t.Errorf("round records = %d, want 4", len(rec.Rounds()))
+	}
+	if len(iters) != 4 || iters[3] != 20 {
+		t.Errorf("OnRound iters = %v", iters)
+	}
+}
+
 func TestTrainDivergenceDetected(t *testing.T) {
 	fed := tinyFederation(t)
 	m := &nn.SoftmaxRegression{In: fed.Dim, Classes: fed.NumClasses, L2: 0.01}
@@ -175,8 +195,8 @@ func TestTrainDivergenceDetected(t *testing.T) {
 	}
 }
 
-// nanAtCall wraps a model and poisons the gradient for a window of Grad
-// calls. With Workers=1 the round loop visits nodes strictly in index order
+// nanAtCall wraps a model and poisons the step for a window of
+// GradStepInto calls. With Workers=1 the round loop visits nodes strictly in index order
 // (T0 calls per node per round), so a call window addresses an exact
 // (node, round) pair.
 type nanAtCall struct {
@@ -185,13 +205,12 @@ type nanAtCall struct {
 	from, to int // 0-based [from, to) window of poisoned calls
 }
 
-func (m *nanAtCall) Grad(theta tensor.Vec, batch []data.Sample) tensor.Vec {
-	g := m.Model.Grad(theta, batch).Clone()
+func (m *nanAtCall) GradStepInto(ws nn.Workspace, theta tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec) {
+	m.Model.GradStepInto(ws, theta, batch, lr, out)
 	if m.calls >= m.from && m.calls < m.to {
-		g[0] = math.NaN()
+		out[0] = math.NaN()
 	}
 	m.calls++
-	return g
 }
 
 // Regression guard for the per-round error slots: a node failing in round 2

@@ -49,56 +49,6 @@ func TestWorkspaceGradIntoZeroAllocs(t *testing.T) {
 	})
 }
 
-// The workspace methods must agree exactly with the allocating package
-// functions — they share the same float operation order, so the comparison
-// is for strict equality, not tolerance.
-
-func TestWorkspaceMatchesAllocatingAPI(t *testing.T) {
-	for _, m := range []nn.Model{
-		&nn.SoftmaxRegression{In: 4, Classes: 3, L2: 0.01},
-		mustMLP(t, nn.MLPConfig{Dims: []int{4, 5, 3}, BatchNorm: true}),
-	} {
-		r := rng.New(2)
-		train := randBatch(r, 6, 4, 3)
-		test := randBatch(r, 7, 4, 3)
-		extra := randBatch(r, 3, 4, 3)
-		theta := m.InitParams(r)
-		ws := NewWorkspace(m)
-		grad := tensor.NewVec(m.NumParams())
-		phi := tensor.NewVec(m.NumParams())
-
-		for _, mode := range []GradMode{SecondOrder, FirstOrder} {
-			gotPhi := ws.GradInto(theta, train, test, 0.05, mode, grad)
-			wantGrad, wantPhi := Grad(m, theta, train, test, 0.05, mode)
-			if d := grad.Dist(wantGrad); d != 0 {
-				t.Errorf("%T mode %v: GradInto differs from Grad by %g", m, mode, d)
-			}
-			if d := gotPhi.Dist(wantPhi); d != 0 {
-				t.Errorf("%T mode %v: GradInto φ differs by %g", m, mode, d)
-			}
-		}
-
-		ws.GradWithExtraInto(theta, train, test, extra, 0.05, SecondOrder, grad)
-		wantGrad, _ := GradWithExtra(m, theta, train, test, extra, 0.05, SecondOrder)
-		if d := grad.Dist(wantGrad); d != 0 {
-			t.Errorf("%T: GradWithExtraInto differs by %g", m, d)
-		}
-
-		if got, want := ws.Objective(theta, train, test, 0.05), Objective(m, theta, train, test, 0.05); got != want {
-			t.Errorf("%T: Objective = %g, want %g", m, got, want)
-		}
-
-		ws.AdaptInto(theta, train, 0.05, 4, phi)
-		if d := phi.Dist(Adapt(m, theta, train, 0.05, 4)); d != 0 {
-			t.Errorf("%T: AdaptInto differs by %g", m, d)
-		}
-
-		if d := ws.InnerStepInto(theta, train, 0.05).Dist(InnerStep(m, theta, train, 0.05)); d != 0 {
-			t.Errorf("%T: InnerStepInto differs by %g", m, d)
-		}
-	}
-}
-
 func mustMLP(t *testing.T, cfg nn.MLPConfig) *nn.MLP {
 	t.Helper()
 	m, err := nn.NewMLP(cfg)

@@ -26,10 +26,10 @@ func centralizedFixture(t *testing.T) (*nn.SoftmaxRegression, []*data.NodeDatase
 	return m, fed.Sources, fed.Weights(), m.InitParams(rng.New(1))
 }
 
-func objective(m nn.Model, tasks []*data.NodeDataset, weights []float64, theta tensor.Vec, alpha float64) float64 {
+func weightedObjective(m nn.Model, tasks []*data.NodeDataset, weights []float64, theta tensor.Vec, alpha float64) float64 {
 	var total float64
 	for i, task := range tasks {
-		total += weights[i] * Objective(m, theta, task.Train, task.Test, alpha)
+		total += weights[i] * objective(m, theta, task.Train, task.Test, alpha)
 	}
 	return total
 }
@@ -37,12 +37,12 @@ func objective(m nn.Model, tasks []*data.NodeDataset, weights []float64, theta t
 func TestTrainCentralizedReducesObjective(t *testing.T) {
 	m, tasks, weights, theta0 := centralizedFixture(t)
 	const alpha = 0.05
-	before := objective(m, tasks, weights, theta0, alpha)
+	before := weightedObjective(m, tasks, weights, theta0, alpha)
 	theta, err := TrainCentralized(m, tasks, weights, theta0, alpha, &opt.SGD{LR: 0.05}, 100, SecondOrder, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := objective(m, tasks, weights, theta, alpha)
+	after := weightedObjective(m, tasks, weights, theta, alpha)
 	if after >= before {
 		t.Errorf("centralized training failed: %v -> %v", before, after)
 	}
@@ -64,7 +64,7 @@ func TestTrainCentralizedMatchesManualSGD(t *testing.T) {
 	for t := 0; t < 10; t++ {
 		g := tensor.NewVec(len(want))
 		for i, task := range tasks {
-			gi, _ := Grad(m, want, task.Train, task.Test, alpha, SecondOrder)
+			gi, _ := metaGrad(m, want, task.Train, task.Test, alpha, SecondOrder)
 			g.Axpy(weights[i], gi)
 		}
 		want.Axpy(-beta, g)
@@ -77,12 +77,12 @@ func TestTrainCentralizedMatchesManualSGD(t *testing.T) {
 func TestTrainCentralizedWithAdam(t *testing.T) {
 	m, tasks, weights, theta0 := centralizedFixture(t)
 	const alpha = 0.05
-	before := objective(m, tasks, weights, theta0, alpha)
+	before := weightedObjective(m, tasks, weights, theta0, alpha)
 	theta, err := TrainCentralized(m, tasks, weights, theta0, alpha, &opt.Adam{LR: 0.05}, 100, SecondOrder, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := objective(m, tasks, weights, theta, alpha)
+	after := weightedObjective(m, tasks, weights, theta, alpha)
 	if after >= before {
 		t.Errorf("Adam-outer training failed: %v -> %v", before, after)
 	}

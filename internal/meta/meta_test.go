@@ -31,22 +31,49 @@ func relErr(a, b tensor.Vec) float64 {
 	return d / den
 }
 
+// modelGrad returns ∇L(p, batch) in a fresh buffer.
+func modelGrad(m nn.Model, p tensor.Vec, batch []data.Sample) tensor.Vec {
+	g := tensor.NewVec(m.NumParams())
+	m.GradInto(nil, p, batch, g)
+	return g
+}
+
+// metaGrad runs Workspace.GradInto on a fresh workspace and returns the
+// meta-gradient with a copy of φ.
+func metaGrad(m nn.Model, theta tensor.Vec, train, test []data.Sample, alpha float64, mode GradMode) (grad, phi tensor.Vec) {
+	grad = tensor.NewVec(m.NumParams())
+	phi = NewWorkspace(m).GradInto(theta, train, test, alpha, mode, grad).Clone()
+	return grad, phi
+}
+
+// objective evaluates G(θ) = L(θ − α∇L(θ, train), test).
+func objective(m nn.Model, theta tensor.Vec, train, test []data.Sample, alpha float64) float64 {
+	return NewWorkspace(m).Objective(theta, train, test, alpha)
+}
+
+// adapt runs Workspace.AdaptInto into a fresh buffer.
+func adapt(m nn.Model, theta tensor.Vec, set []data.Sample, alpha float64, steps int) tensor.Vec {
+	phi := tensor.NewVec(m.NumParams())
+	NewWorkspace(m).AdaptInto(theta, set, alpha, steps, phi)
+	return phi
+}
+
 func TestInnerStepMatchesDefinition(t *testing.T) {
 	r := rng.New(1)
 	m := &nn.SoftmaxRegression{In: 4, Classes: 3}
 	theta := m.InitParams(r)
 	train := randBatch(r, 5, 4, 3)
 	const alpha = 0.1
-	phi := InnerStep(m, theta, train, alpha)
+	phi := NewWorkspace(m).InnerStepInto(theta, train, alpha)
 	want := theta.Clone()
-	want.Axpy(-alpha, m.Grad(theta, train))
+	want.Axpy(-alpha, modelGrad(m, theta, train))
 	if relErr(phi, want) != 0 {
-		t.Error("InnerStep does not match θ − α∇L")
+		t.Error("InnerStepInto does not match θ − α∇L")
 	}
 	// θ must be untouched.
 	theta2 := m.InitParams(rng.New(1))
 	if relErr(theta, theta2) != 0 {
-		t.Error("InnerStep modified θ")
+		t.Error("InnerStepInto modified θ")
 	}
 }
 
@@ -63,7 +90,7 @@ func TestGradMatchesNumericalMetaObjective(t *testing.T) {
 	test := randBatch(r, 8, 4, 3)
 	const alpha = 0.08
 
-	got, _ := Grad(m, theta, train, test, alpha, SecondOrder)
+	got, _ := metaGrad(m, theta, train, test, alpha, SecondOrder)
 
 	const eps = 1e-6
 	want := tensor.NewVec(len(theta))
@@ -71,9 +98,9 @@ func TestGradMatchesNumericalMetaObjective(t *testing.T) {
 	for i := range p {
 		orig := p[i]
 		p[i] = orig + eps
-		lp := Objective(m, p, train, test, alpha)
+		lp := objective(m, p, train, test, alpha)
 		p[i] = orig - eps
-		lm := Objective(m, p, train, test, alpha)
+		lm := objective(m, p, train, test, alpha)
 		p[i] = orig
 		want[i] = (lp - lm) / (2 * eps)
 	}
@@ -90,13 +117,13 @@ func TestFirstOrderDropsCurvature(t *testing.T) {
 	test := randBatch(r, 6, 4, 3)
 	const alpha = 0.1
 
-	so, phiSO := Grad(m, theta, train, test, alpha, SecondOrder)
-	fo, phiFO := Grad(m, theta, train, test, alpha, FirstOrder)
+	so, phiSO := metaGrad(m, theta, train, test, alpha, SecondOrder)
+	fo, phiFO := metaGrad(m, theta, train, test, alpha, FirstOrder)
 	if relErr(phiSO, phiFO) != 0 {
 		t.Error("φ differs between grad modes")
 	}
 	// FO must equal ∇L(φ, test) exactly.
-	want := m.Grad(phiSO, test)
+	want := modelGrad(m, phiSO, test)
 	if relErr(fo, want) != 0 {
 		t.Error("first-order gradient is not ∇L(φ, test)")
 	}
@@ -112,11 +139,11 @@ func TestGradAlphaZeroReducesToPlainGradient(t *testing.T) {
 	theta := m.InitParams(r)
 	train := randBatch(r, 4, 3, 2)
 	test := randBatch(r, 4, 3, 2)
-	g, phi := Grad(m, theta, train, test, 0, SecondOrder)
+	g, phi := metaGrad(m, theta, train, test, 0, SecondOrder)
 	if relErr(phi, theta) != 0 {
 		t.Error("α=0 should leave φ = θ")
 	}
-	if relErr(g, m.Grad(theta, test)) != 0 {
+	if relErr(g, modelGrad(m, theta, test)) != 0 {
 		t.Error("α=0 meta-gradient should be the plain test gradient")
 	}
 }
@@ -130,23 +157,27 @@ func TestGradWithExtraCombinesOuterLosses(t *testing.T) {
 	extra := randBatch(r, 5, 4, 3)
 	const alpha = 0.07
 
-	got, _ := GradWithExtra(m, theta, train, test, extra, alpha, SecondOrder)
+	ws := NewWorkspace(m)
+	got := tensor.NewVec(m.NumParams())
+	ws.GradWithExtraInto(theta, train, test, extra, alpha, SecondOrder, got)
 
 	// Must equal the sum of the two individual meta-gradients.
-	g1, _ := Grad(m, theta, train, test, alpha, SecondOrder)
-	g2, _ := Grad(m, theta, train, extra, alpha, SecondOrder)
+	g1, _ := metaGrad(m, theta, train, test, alpha, SecondOrder)
+	g2, _ := metaGrad(m, theta, train, extra, alpha, SecondOrder)
 	want := g1.Add(g2)
 	if e := relErr(got, want); e > 1e-10 {
-		t.Errorf("GradWithExtra relErr = %v", e)
+		t.Errorf("GradWithExtraInto relErr = %v", e)
 	}
 
 	// Empty extra falls back to the plain meta-gradient.
-	got2, _ := GradWithExtra(m, theta, train, test, nil, alpha, SecondOrder)
-	if relErr(got2, g1) != 0 {
+	ws.GradWithExtraInto(theta, train, test, nil, alpha, SecondOrder, got)
+	if relErr(got, g1) != 0 {
 		t.Error("empty extra changed the meta-gradient")
 	}
 }
 
+// One meta step θ − β∇G must lower the meta-objective G for a small β:
+// the update moves against the meta-gradient, not along it.
 func TestStepMovesAgainstMetaGradient(t *testing.T) {
 	r := rng.New(6)
 	m := &nn.SoftmaxRegression{In: 4, Classes: 3}
@@ -154,12 +185,14 @@ func TestStepMovesAgainstMetaGradient(t *testing.T) {
 	train := randBatch(r, 6, 4, 3)
 	test := randBatch(r, 6, 4, 3)
 	const alpha, beta = 0.05, 0.1
-	next := Step(m, theta, train, test, alpha, beta, SecondOrder)
-	g, _ := Grad(m, theta, train, test, alpha, SecondOrder)
-	want := theta.Clone()
-	want.Axpy(-beta, g)
-	if relErr(next, want) != 0 {
-		t.Error("Step does not equal θ − β∇G")
+	g, _ := metaGrad(m, theta, train, test, alpha, SecondOrder)
+	if g.Norm() == 0 {
+		t.Fatal("zero meta-gradient; the step cannot be checked")
+	}
+	next := theta.Clone()
+	next.Axpy(-beta, g)
+	if before, after := objective(m, theta, train, test, alpha), objective(m, next, train, test, alpha); after >= before {
+		t.Errorf("meta step did not lower G: %v -> %v", before, after)
 	}
 }
 
@@ -171,11 +204,14 @@ func TestMetaTrainingImprovesMetaObjective(t *testing.T) {
 	train := randBatch(r, 10, 5, 3)
 	test := randBatch(r, 10, 5, 3)
 	const alpha, beta = 0.05, 0.2
-	before := Objective(m, theta, train, test, alpha)
+	ws := NewWorkspace(m)
+	g := tensor.NewVec(m.NumParams())
+	before := ws.Objective(theta, train, test, alpha)
 	for i := 0; i < 60; i++ {
-		theta = Step(m, theta, train, test, alpha, beta, SecondOrder)
+		ws.GradInto(theta, train, test, alpha, SecondOrder, g)
+		theta.Axpy(-beta, g)
 	}
-	after := Objective(m, theta, train, test, alpha)
+	after := ws.Objective(theta, train, test, alpha)
 	if after >= before {
 		t.Errorf("meta-training failed to reduce objective: %v -> %v", before, after)
 	}
@@ -186,17 +222,17 @@ func TestAdaptMultiStepReducesLoss(t *testing.T) {
 	m := &nn.SoftmaxRegression{In: 5, Classes: 3}
 	theta := m.InitParams(r)
 	adaptSet := randBatch(r, 20, 5, 3)
-	phi1 := Adapt(m, theta, adaptSet, 0.3, 1)
-	phi10 := Adapt(m, theta, adaptSet, 0.3, 10)
-	l0 := m.Loss(theta, adaptSet)
-	l1 := m.Loss(phi1, adaptSet)
-	l10 := m.Loss(phi10, adaptSet)
+	phi1 := adapt(m, theta, adaptSet, 0.3, 1)
+	phi10 := adapt(m, theta, adaptSet, 0.3, 10)
+	l0 := m.LossWith(nil, theta, adaptSet)
+	l1 := m.LossWith(nil, phi1, adaptSet)
+	l10 := m.LossWith(nil, phi10, adaptSet)
 	if !(l10 < l1 && l1 < l0) {
 		t.Errorf("adaptation losses not decreasing: %v, %v, %v", l0, l1, l10)
 	}
 	// Zero steps = unchanged.
-	if relErr(Adapt(m, theta, adaptSet, 0.3, 0), theta) != 0 {
-		t.Error("Adapt with 0 steps changed θ")
+	if relErr(adapt(m, theta, adaptSet, 0.3, 0), theta) != 0 {
+		t.Error("AdaptInto with 0 steps changed θ")
 	}
 }
 
@@ -222,7 +258,7 @@ func TestGradWorksForMLPViaFiniteDiffHVP(t *testing.T) {
 	test := randBatch(r, 8, 4, 3)
 	const alpha = 0.05
 
-	got, _ := Grad(m, theta, train, test, alpha, SecondOrder)
+	got, _ := metaGrad(m, theta, train, test, alpha, SecondOrder)
 
 	const eps = 1e-5
 	want := tensor.NewVec(len(theta))
@@ -230,9 +266,9 @@ func TestGradWorksForMLPViaFiniteDiffHVP(t *testing.T) {
 	for i := range p {
 		orig := p[i]
 		p[i] = orig + eps
-		lp := Objective(m, p, train, test, alpha)
+		lp := objective(m, p, train, test, alpha)
 		p[i] = orig - eps
-		lm := Objective(m, p, train, test, alpha)
+		lm := objective(m, p, train, test, alpha)
 		p[i] = orig
 		want[i] = (lp - lm) / (2 * eps)
 	}

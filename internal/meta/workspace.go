@@ -14,15 +14,14 @@ import (
 // A workspace is bound to one model and belongs to one goroutine. Vectors
 // returned by its methods (φ in particular) alias workspace memory and are
 // valid only until the next call on the same workspace; callers that need
-// to retain them must Clone. The allocating package functions (Grad, Step,
-// Adapt, ...) remain the convenient API for cold paths.
+// to retain them must Clone. It is the only meta-learning API: cold paths
+// build a workspace too.
 type Workspace struct {
 	m   nn.Model
 	nws nn.Workspace
 
 	phi    tensor.Vec // inner-adapted parameters
-	gInner tensor.Vec // inner gradient ∇L(θ, train)
-	gExtra tensor.Vec // second outer gradient of GradWithExtra
+	gExtra tensor.Vec // second outer gradient of GradWithExtraInto
 	hvp    tensor.Vec // Hessian-vector product scratch
 }
 
@@ -31,9 +30,8 @@ func NewWorkspace(m nn.Model) *Workspace {
 	n := m.NumParams()
 	return &Workspace{
 		m:      m,
-		nws:    nn.NewWorkspace(m),
+		nws:    m.NewWorkspace(),
 		phi:    tensor.NewVec(n),
-		gInner: tensor.NewVec(n),
 		gExtra: tensor.NewVec(n),
 		hvp:    tensor.NewVec(n),
 	}
@@ -47,14 +45,14 @@ func (ws *Workspace) Model() nn.Model { return ws.m }
 // parameter vector instead of gradient-write, copy, axpy). The result is
 // valid until the next call on ws.
 func (ws *Workspace) InnerStepInto(theta tensor.Vec, train []data.Sample, alpha float64) tensor.Vec {
-	nn.GradStepInto(ws.m, ws.nws, theta, train, alpha, ws.gInner, ws.phi)
+	ws.m.GradStepInto(ws.nws, theta, train, alpha, ws.phi)
 	return ws.phi
 }
 
 // Objective evaluates the per-node meta-objective G_i(θ) = L(φ_i(θ), test)
 // reusing the workspace for the inner step.
 func (ws *Workspace) Objective(theta tensor.Vec, train, test []data.Sample, alpha float64) float64 {
-	return nn.LossWith(ws.m, ws.nws, ws.InnerStepInto(theta, train, alpha), test)
+	return ws.m.LossWith(ws.nws, ws.InnerStepInto(theta, train, alpha), test)
 }
 
 // GradInto computes the meta-gradient ∇_θ L(φ(θ), test) into grad and
@@ -62,19 +60,21 @@ func (ws *Workspace) Objective(theta tensor.Vec, train, test []data.Sample, alph
 // workspace and is valid until the next call on ws.
 func (ws *Workspace) GradInto(theta tensor.Vec, train, test []data.Sample, alpha float64, mode GradMode, grad tensor.Vec) (phi tensor.Vec) {
 	phi = ws.InnerStepInto(theta, train, alpha)
-	nn.GradInto(ws.m, ws.nws, phi, test, grad)
+	ws.m.GradInto(ws.nws, phi, test, grad)
 	ws.correctInto(theta, train, alpha, mode, grad)
 	return phi
 }
 
-// GradWithExtraInto is the buffered counterpart of GradWithExtra: the
-// meta-gradient of the combined outer loss L(φ, test) + L(φ, extra)
-// (Eq. 14) written into grad. φ aliases the workspace.
+// GradWithExtraInto computes the meta-gradient of the combined outer loss
+// L(φ, test) + L(φ, extra) used by Robust FedML (Eq. 14), where extra is the
+// adversarial dataset, into grad. Because the inner-step Jacobian is
+// linear, the outer gradients are summed before the single Hessian-vector
+// product. φ aliases the workspace.
 func (ws *Workspace) GradWithExtraInto(theta tensor.Vec, train, test, extra []data.Sample, alpha float64, mode GradMode, grad tensor.Vec) (phi tensor.Vec) {
 	phi = ws.InnerStepInto(theta, train, alpha)
-	nn.GradInto(ws.m, ws.nws, phi, test, grad)
+	ws.m.GradInto(ws.nws, phi, test, grad)
 	if len(extra) > 0 {
-		nn.GradInto(ws.m, ws.nws, phi, extra, ws.gExtra)
+		ws.m.GradInto(ws.nws, phi, extra, ws.gExtra)
 		grad.AddInPlace(ws.gExtra)
 	}
 	ws.correctInto(theta, train, alpha, mode, grad)
@@ -87,16 +87,17 @@ func (ws *Workspace) correctInto(theta tensor.Vec, train []data.Sample, alpha fl
 	if mode == FirstOrder || alpha == 0 {
 		return
 	}
-	nn.HVPInto(ws.m, ws.nws, theta, train, g, ws.hvp)
+	ws.m.HVPInto(ws.nws, theta, train, g, ws.hvp)
 	g.Axpy(-alpha, ws.hvp)
 }
 
 // AdaptInto performs `steps` full-batch gradient-descent updates from theta
-// on the adaptation set (Eq. 6), writing the adapted parameters into phi.
-// phi must not alias theta.
+// on the adaptation set — the target node's fast adaptation (Eq. 6 with
+// steps=1) — writing the adapted parameters into phi. phi must not alias
+// theta, which is not modified.
 func (ws *Workspace) AdaptInto(theta tensor.Vec, adaptSet []data.Sample, alpha float64, steps int, phi tensor.Vec) {
 	phi.CopyFrom(theta)
 	for s := 0; s < steps; s++ {
-		nn.GradStepInto(ws.m, ws.nws, phi, adaptSet, alpha, ws.gInner, phi)
+		ws.m.GradStepInto(ws.nws, phi, adaptSet, alpha, phi)
 	}
 }

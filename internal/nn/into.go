@@ -5,195 +5,62 @@ import (
 	"github.com/edgeai/fedml/internal/tensor"
 )
 
-// This file defines the allocation-free ("Into") side of the model API.
+// This file defines the buffer conventions of the Model kernels.
 //
 // The federated runtime executes gradient → inner step → outer gradient →
-// HVP on every one of T0·rounds local iterations; with the plain Model
-// interface each stage allocates fresh vectors and per-layer scratch, which
-// makes garbage collection the dominant cost at paper scale. The Into API
-// inverts ownership: the caller provides the output buffer and a reusable
-// Workspace that owns all intermediate scratch, sized once on first use.
+// HVP on every one of T0·rounds local iterations; if each stage allocated
+// fresh vectors and per-layer scratch, garbage collection would be the
+// dominant cost at paper scale. So every kernel inverts ownership: the
+// caller provides the output buffer and a reusable Workspace that owns all
+// intermediate scratch, sized once on first use.
 //
 // Conventions (see DESIGN.md §6):
-//   - FooInto(ws, ..., out) overwrites out and never retains out or ws
+//   - m.FooInto(ws, ..., out) overwrites out and never retains out or ws
 //     beyond the call. out must not alias the params or direction inputs.
 //   - A Workspace belongs to one goroutine; it is not safe for concurrent
 //     use. Results that alias workspace memory are valid only until the
 //     next call using the same workspace (this is documented per method).
-//   - The allocating wrappers (Model.Grad, HVP, ...) remain the convenient
-//     API for cold paths; the Into API is for steady-state loops.
 
-// Workspace is reusable scratch memory for one model's Into kernels. Each
-// model family provides its own concrete type via NewWorkspace; callers
-// treat it as opaque and pass it back to the model's *Into methods. A nil
-// Workspace is always valid: the kernels then allocate their scratch per
-// call.
+// Workspace is reusable scratch memory for one model's kernels. Each model
+// family provides its own concrete type via NewWorkspace; callers treat it
+// as opaque and pass it back to the model's methods. A nil Workspace is
+// always valid: the kernels then allocate their scratch per call.
 type Workspace interface{ isWorkspace() }
 
-// WorkspaceProvider is implemented by models whose kernels can run
-// allocation-free against a reusable Workspace.
-type WorkspaceProvider interface {
-	NewWorkspace() Workspace
-}
+// NewWorkspace returns m.NewWorkspace(). The package-level NewWorkspace,
+// GradInto and HVPInto are kept for the benchmark harness in perfbench/,
+// which compiles against them; everything else calls the methods.
+func NewWorkspace(m Model) Workspace { return m.NewWorkspace() }
 
-// GradIntoer is implemented by models that can compute ∇L into a
-// caller-provided buffer without allocating (given a workspace from the
-// same model).
-type GradIntoer interface {
-	// GradInto computes ∇_θ L(θ, D) averaged over batch into out.
-	// out must not alias params.
-	GradInto(ws Workspace, params tensor.Vec, batch []data.Sample, out tensor.Vec)
-}
-
-// HVPIntoer is implemented by models that can compute the Hessian-vector
-// product into a caller-provided buffer.
-type HVPIntoer interface {
-	// HVPInto computes ∇²L(θ, D)·v into out. out must alias neither
-	// params nor v.
-	HVPInto(ws Workspace, params tensor.Vec, batch []data.Sample, v, out tensor.Vec)
-}
-
-// GradStepIntoer is implemented by models whose gradient-descent step
-// out = params − lr·∇L(params, batch) runs as one fused kernel: the gradient
-// lives in workspace scratch and the regularizer plus the step collapse into
-// a single pass over the parameter vector, instead of the three sweeps
-// (gradient write, parameter copy, axpy) of the unfused sequence.
-type GradStepIntoer interface {
-	// GradStepInto computes out = params − lr·∇L(params, batch). out may
-	// alias params (in-place step); it must not alias workspace memory.
-	GradStepInto(ws Workspace, params tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec)
-}
-
-// InputGradIntoer is implemented by models that can compute the per-sample
-// input gradient into a caller-provided buffer.
-type InputGradIntoer interface {
-	// InputGradInto computes ∇_x l(θ, (x, y)) for a single sample into
-	// out (length = input dimension).
-	InputGradInto(ws Workspace, params tensor.Vec, s data.Sample, ctx []data.Sample, out tensor.Vec)
-}
-
-// NewWorkspace returns a reusable workspace for m, or nil when the model
-// has no Into support (the Into helpers below then fall back to the
-// allocating API).
-func NewWorkspace(m Model) Workspace {
-	if p, ok := m.(WorkspaceProvider); ok {
-		return p.NewWorkspace()
-	}
-	return nil
-}
-
-// GradInto computes ∇_θ L(θ, D) into out, allocation-free when the model
-// implements GradIntoer and ws comes from the same model; otherwise it
-// falls back to the allocating Grad and copies.
+// GradInto forwards to m.GradInto.
 func GradInto(m Model, ws Workspace, params tensor.Vec, batch []data.Sample, out tensor.Vec) {
-	if g, ok := m.(GradIntoer); ok {
-		g.GradInto(ws, params, batch, out)
-		return
-	}
-	out.CopyFrom(m.Grad(params, batch))
+	m.GradInto(ws, params, batch, out)
 }
 
-// HVPInto computes ∇²L(θ, D)·v into out, preferring (in order) the model's
-// buffered analytic HVP, its allocating analytic HVP, and the
-// finite-difference fallback.
+// HVPInto forwards to m.HVPInto.
 func HVPInto(m Model, ws Workspace, params tensor.Vec, batch []data.Sample, v, out tensor.Vec) {
-	if h, ok := m.(HVPIntoer); ok {
-		h.HVPInto(ws, params, batch, v, out)
-		return
-	}
-	if h, ok := m.(HVPComputer); ok {
-		out.CopyFrom(h.HVP(params, batch, v))
-		return
-	}
-	FiniteDiffHVPInto(m, ws, params, batch, v, out)
+	m.HVPInto(ws, params, batch, v, out)
 }
 
-// GradStepInto computes out = params − lr·∇L(params, batch), using the
-// model's fused kernel when it implements GradStepIntoer. grad is fallback
-// scratch (length NumParams) used only by models without the fused kernel;
-// out may alias params but must alias neither grad nor workspace memory.
-// Both paths produce bit-identical results: the fused kernels reproduce the
-// unfused per-element arithmetic exactly.
-func GradStepInto(m Model, ws Workspace, params tensor.Vec, batch []data.Sample, lr float64, grad, out tensor.Vec) {
-	if g, ok := m.(GradStepIntoer); ok {
-		g.GradStepInto(ws, params, batch, lr, out)
-		return
-	}
-	GradInto(m, ws, params, batch, grad)
-	params.AxpyInto(-lr, grad, out)
-}
-
-// LossWither is implemented by models that can evaluate the batch loss
-// against a reusable Workspace without allocating.
-type LossWither interface {
-	LossWith(ws Workspace, params tensor.Vec, batch []data.Sample) float64
-}
-
-// LossWith evaluates L(θ, D), allocation-free when the model implements
-// LossWither; otherwise it falls back to the allocating Loss.
-func LossWith(m Model, ws Workspace, params tensor.Vec, batch []data.Sample) float64 {
-	if l, ok := m.(LossWither); ok {
-		return l.LossWith(ws, params, batch)
-	}
-	return m.Loss(params, batch)
-}
-
-// InputGradInto computes ∇_x l(θ, (x, y)) into out, allocation-free when
-// the model implements InputGradIntoer.
-func InputGradInto(ig InputGradienter, ws Workspace, params tensor.Vec, s data.Sample, ctx []data.Sample, out tensor.Vec) {
-	if g, ok := ig.(InputGradIntoer); ok {
-		g.InputGradInto(ws, params, s, ctx, out)
-		return
-	}
-	out.CopyFrom(ig.InputGrad(params, s, ctx))
-}
-
-// fdScratcher is implemented by workspaces that carry scratch for the
-// finite-difference HVP (two perturbed parameter vectors and one gradient).
-type fdScratcher interface {
-	fdScratch(n int) (pp, pm, g2 tensor.Vec)
-}
-
-// fdBufs is the shared finite-difference scratch embedded by the model
-// workspaces. (The type name must differ from the fdScratch method, or the
-// embedded field would shadow the promoted method and break the fdScratcher
-// assertion.)
-type fdBufs struct{ pp, pm, g2 tensor.Vec }
-
-func (f *fdBufs) fdScratch(n int) (pp, pm, g2 tensor.Vec) {
-	if len(f.pp) != n {
-		f.pp = tensor.NewVec(n)
-		f.pm = tensor.NewVec(n)
-		f.g2 = tensor.NewVec(n)
-	}
-	return f.pp, f.pm, f.g2
-}
-
-// FiniteDiffHVPInto is the buffered counterpart of FiniteDiffHVP: it
-// approximates ∇²L(θ)·v by a central difference of GradInto, reusing ws for
-// both the inner gradients and (when the workspace provides it) the
-// perturbed-parameter scratch. out must alias neither params nor v.
-func FiniteDiffHVPInto(m Model, ws Workspace, params tensor.Vec, batch []data.Sample, v, out tensor.Vec) {
+// FiniteDiffHVPInto approximates ∇²L(θ)·v into out by a central finite
+// difference of m.GradInto: (∇L(θ+εv) − ∇L(θ−εv)) / 2ε, with ε scaled to
+// the magnitudes of θ and v. The error is O(ε²‖∇³L‖). It is the MLP's
+// HVPInto, and the reference the analytic softmax HVP is tested against.
+// p and g are scratch of length NumParams; out must alias none of params,
+// v, p and g.
+func FiniteDiffHVPInto(m Model, ws Workspace, params tensor.Vec, batch []data.Sample, v, out, p, g tensor.Vec) {
 	vn := v.Norm()
 	if vn == 0 {
 		out.Zero()
 		return
 	}
-	var pp, pm, g2 tensor.Vec
-	if f, ok := ws.(fdScratcher); ok {
-		pp, pm, g2 = f.fdScratch(len(params))
-	} else {
-		pp = tensor.NewVec(len(params))
-		pm = tensor.NewVec(len(params))
-		g2 = tensor.NewVec(len(params))
-	}
 	eps := _fdEpsBase * (1 + params.Norm()) / vn
-	pp.CopyFrom(params)
-	pp.Axpy(eps, v)
-	pm.CopyFrom(params)
-	pm.Axpy(-eps, v)
-	GradInto(m, ws, pp, batch, out)
-	GradInto(m, ws, pm, batch, g2)
-	out.SubInPlace(g2)
+	p.CopyFrom(params)
+	p.Axpy(eps, v)
+	m.GradInto(ws, p, batch, out)
+	p.CopyFrom(params)
+	p.Axpy(-eps, v)
+	m.GradInto(ws, p, batch, g)
+	out.SubInPlace(g)
 	out.ScaleInPlace(1 / (2 * eps))
 }

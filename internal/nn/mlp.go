@@ -36,15 +36,7 @@ type MLP struct {
 	numParams int
 }
 
-var (
-	_ Model             = (*MLP)(nil)
-	_ InputGradienter   = (*MLP)(nil)
-	_ WorkspaceProvider = (*MLP)(nil)
-	_ GradIntoer        = (*MLP)(nil)
-	_ GradStepIntoer    = (*MLP)(nil)
-	_ InputGradIntoer   = (*MLP)(nil)
-	_ LossWither        = (*MLP)(nil)
-)
+var _ Model = (*MLP)(nil)
 
 // NewMLP validates cfg and returns the model.
 func NewMLP(cfg MLPConfig) (*MLP, error) {
@@ -200,19 +192,19 @@ type mlpWorkspace struct {
 	probs                []tensor.Vec   // [bwCap][classes]; per-sample softmax grads
 	sumDzhat, sumDzhatZc tensor.Vec     // sized max hidden dim
 
-	// Rebindable parameter and gradient views, plus InputGrad scratch.
+	// Rebindable parameter and gradient views, plus InputGradInto scratch.
 	pv, gv mlpView
 	igrad  tensor.Vec // discarded parameter grads of InputGradInto
 	gstep  tensor.Vec // gradient accumulator of the fused GradStepInto
 	dx1    []tensor.Vec
 	frozen bnStats
 
-	fdBufs
+	fdP, fdG tensor.Vec // perturbed parameters and gradient of HVPInto
 }
 
 func (*mlpWorkspace) isWorkspace() {}
 
-// NewWorkspace implements WorkspaceProvider.
+// NewWorkspace implements Model.
 func (m *MLP) NewWorkspace() Workspace {
 	hidden := m.layers() - 1
 	ws := &mlpWorkspace{
@@ -307,7 +299,7 @@ func (ws *mlpWorkspace) ensureBackward(n int) {
 
 // forward runs the network on a batch using ws's buffers; frozen, when
 // non-nil, overrides the batch-normalization statistics (used by
-// InputGrad's frozen-BN mode). The returned cache aliases ws and is valid
+// InputGradInto's frozen-BN mode). The returned cache aliases ws and is valid
 // until the next forward on the same workspace.
 func (m *MLP) forward(ws *mlpWorkspace, v mlpView, batch []data.Sample, frozen *bnStats) *mlpCache {
 	n := len(batch)
@@ -418,12 +410,7 @@ func batchStatsInto(zs []tensor.Vec, mean, istd tensor.Vec) {
 	}
 }
 
-// Loss implements Model.
-func (m *MLP) Loss(params tensor.Vec, batch []data.Sample) float64 {
-	return m.LossWith(nil, params, batch)
-}
-
-// LossWith implements LossWither.
+// LossWith implements Model.
 func (m *MLP) LossWith(wsAny Workspace, params tensor.Vec, batch []data.Sample) float64 {
 	if len(batch) == 0 {
 		return m.l2Term(params)
@@ -445,17 +432,9 @@ func (m *MLP) l2Term(params tensor.Vec) float64 {
 	return 0.5 * m.l2 * params.Dot(params)
 }
 
-// Grad implements Model. It is the allocating wrapper over GradInto.
-func (m *MLP) Grad(params tensor.Vec, batch []data.Sample) tensor.Vec {
-	g := tensor.NewVec(m.numParams)
-	m.GradInto(nil, params, batch, g)
-	return g
-}
-
-// GradInto implements GradIntoer via full manual backpropagation, including
-// the gradient through the batch-normalization statistics. With a workspace
-// from this model the steady-state path allocates nothing. out must not
-// alias params.
+// GradInto implements Model via full manual backpropagation, including the
+// gradient through the batch-normalization statistics. With a workspace
+// from this model the steady-state path allocates nothing.
 func (m *MLP) GradInto(wsAny Workspace, params tensor.Vec, batch []data.Sample, out tensor.Vec) {
 	ws := m.workspace(wsAny)
 	if len(out) != m.numParams {
@@ -473,12 +452,10 @@ func (m *MLP) GradInto(wsAny Workspace, params tensor.Vec, batch []data.Sample, 
 	}
 }
 
-// GradStepInto implements GradStepIntoer: out = params − lr·∇L(params, batch)
-// as one fused kernel. The gradient accumulates into workspace scratch, and
-// the L2 term plus the descent step collapse into a single final pass over
-// the parameter vector — element for element the same arithmetic as GradInto
-// followed by the axpy step, so results are bit-identical. out may alias
-// params (in-place step); it must not alias workspace memory.
+// GradStepInto implements Model. The gradient accumulates into workspace
+// scratch, and the L2 term plus the descent step collapse into a single
+// final pass over the parameter vector — element for element the same
+// arithmetic as GradInto followed by the axpy step.
 func (m *MLP) GradStepInto(wsAny Workspace, params tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec) {
 	ws := m.workspace(wsAny)
 	if len(out) != m.numParams {
@@ -622,18 +599,21 @@ func bnBackwardInPlace(dzhat, z []tensor.Vec, mean, istd, sumDzhat, sumDzhatZc t
 	}
 }
 
-// InputGrad implements InputGradienter. For batch-normalized networks the
+// HVPInto implements Model by FiniteDiffHVPInto on workspace-owned scratch:
+// the MLP has no analytic Hessian-vector product.
+func (m *MLP) HVPInto(wsAny Workspace, params tensor.Vec, batch []data.Sample, v, out tensor.Vec) {
+	ws := m.workspace(wsAny)
+	if ws.fdP == nil {
+		ws.fdP = tensor.NewVec(m.numParams)
+		ws.fdG = tensor.NewVec(m.numParams)
+	}
+	FiniteDiffHVPInto(m, ws, params, batch, v, out, ws.fdP, ws.fdG)
+}
+
+// InputGradInto implements Model. For batch-normalized networks the
 // statistics are taken from ctx and frozen (constant w.r.t. x); without
 // batch norm the result is the exact per-sample input gradient and ctx is
 // ignored.
-func (m *MLP) InputGrad(params tensor.Vec, s data.Sample, ctx []data.Sample) tensor.Vec {
-	out := tensor.NewVec(m.dims[0])
-	m.InputGradInto(nil, params, s, ctx, out)
-	return out
-}
-
-// InputGradInto implements InputGradIntoer: the frozen-BN input gradient
-// written into out (length = input dimension).
 func (m *MLP) InputGradInto(wsAny Workspace, params tensor.Vec, s data.Sample, ctx []data.Sample, out tensor.Vec) {
 	ws := m.workspace(wsAny)
 	m.viewInto(&ws.pv, params)

@@ -70,7 +70,7 @@ func TestMLPGradMatchesNumericalNoBN(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{5, 4, 3}, L2: 0.02})
 	p := m.InitParams(r)
 	batch := randBatch(r, 6, 5, 3)
-	got := m.Grad(p, batch)
+	got := grad(m, p, batch)
 	want := NumericalGrad(m, p, batch)
 	if e := relErr(got, want); e > 1e-5 {
 		t.Errorf("MLP gradient relErr = %v", e)
@@ -82,7 +82,7 @@ func TestMLPGradMatchesNumericalWithBN(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{4, 5, 3, 2}, BatchNorm: true})
 	p := m.InitParams(r)
 	batch := randBatch(r, 8, 4, 2)
-	got := m.Grad(p, batch)
+	got := grad(m, p, batch)
 	want := NumericalGrad(m, p, batch)
 	if e := relErr(got, want); e > 1e-4 {
 		t.Errorf("BN MLP gradient relErr = %v", e)
@@ -95,7 +95,7 @@ func TestMLPDeepGradMatchesNumerical(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{6, 8, 4, 3, 2}, BatchNorm: true, L2: 0.01})
 	p := m.InitParams(r)
 	batch := randBatch(r, 10, 6, 2)
-	got := m.Grad(p, batch)
+	got := grad(m, p, batch)
 	want := NumericalGrad(m, p, batch)
 	if e := relErr(got, want); e > 1e-4 {
 		t.Errorf("deep BN MLP gradient relErr = %v", e)
@@ -112,8 +112,8 @@ func TestMLPFiniteDiffHVPSelfConsistent(t *testing.T) {
 	for i := range v {
 		v[i] = r.Norm()
 	}
-	h1 := FiniteDiffHVP(m, p, batch, v)
-	h2 := FiniteDiffHVP(m, p, batch, v.Scale(2))
+	h1 := fdHVP(m, p, batch, v)
+	h2 := fdHVP(m, p, batch, v.Scale(2))
 	if e := relErr(h1.Scale(2), h2); e > 1e-2 {
 		t.Errorf("FD HVP not ~linear: relErr = %v", e)
 	}
@@ -124,16 +124,16 @@ func TestMLPInputGradMatchesNumericalNoBN(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{5, 4, 3}})
 	p := m.InitParams(r)
 	s := randBatch(r, 1, 5, 3)[0]
-	got := m.InputGrad(p, s, nil)
+	got := inputGrad(m, p, s, nil)
 
 	const eps = 1e-6
 	want := tensor.NewVec(5)
 	for i := range s.X {
 		orig := s.X[i]
 		s.X[i] = orig + eps
-		lp := m.Loss(p, []data.Sample{s})
+		lp := m.LossWith(nil, p, []data.Sample{s})
 		s.X[i] = orig - eps
-		lm := m.Loss(p, []data.Sample{s})
+		lm := m.LossWith(nil, p, []data.Sample{s})
 		s.X[i] = orig
 		want[i] = (lp - lm) / (2 * eps)
 	}
@@ -147,7 +147,7 @@ func TestMLPInputGradWithBNFiniteAndNonZero(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{5, 4, 3}, BatchNorm: true})
 	p := m.InitParams(r)
 	batch := randBatch(r, 6, 5, 3)
-	g := m.InputGrad(p, batch[0], batch)
+	g := inputGrad(m, p, batch[0], batch)
 	if !g.IsFinite() {
 		t.Fatal("frozen-BN input gradient is not finite")
 	}
@@ -161,11 +161,11 @@ func TestMLPGradientDescentReducesLoss(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{4, 8, 3}, BatchNorm: true})
 	p := m.InitParams(r)
 	batch := randBatch(r, 20, 4, 3)
-	before := m.Loss(p, batch)
+	before := m.LossWith(nil, p, batch)
 	for step := 0; step < 80; step++ {
-		p.Axpy(-0.1, m.Grad(p, batch))
+		p.Axpy(-0.1, grad(m, p, batch))
 	}
-	after := m.Loss(p, batch)
+	after := m.LossWith(nil, p, batch)
 	if after >= before-0.05 {
 		t.Errorf("training failed: %v -> %v", before, after)
 	}
@@ -183,7 +183,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 		batch = append(batch, data.Sample{X: x, Y: a ^ b})
 	}
 	for step := 0; step < 2000; step++ {
-		p.Axpy(-0.5, m.Grad(p, batch))
+		p.Axpy(-0.5, grad(m, p, batch))
 	}
 	if acc := Accuracy(m, p, batch); acc < 0.95 {
 		t.Errorf("XOR accuracy = %v", acc)
@@ -194,10 +194,10 @@ func TestMLPEmptyBatch(t *testing.T) {
 	m := mustMLP(t, MLPConfig{Dims: []int{3, 2}, L2: 1})
 	p := tensor.NewVec(m.NumParams())
 	p[0] = 2
-	if got := m.Loss(p, nil); math.Abs(got-2) > 1e-12 {
+	if got := m.LossWith(nil, p, nil); math.Abs(got-2) > 1e-12 {
 		t.Errorf("empty-batch loss = %v, want L2 term 2", got)
 	}
-	g := m.Grad(p, nil)
+	g := grad(m, p, nil)
 	if g[0] != 2 || g[1] != 0 {
 		t.Errorf("empty-batch grad = %v", g)
 	}
@@ -214,7 +214,7 @@ func TestMLPPanicsOnBadShapes(t *testing.T) {
 				t.Fatal("no panic on bad param length")
 			}
 		}()
-		m.Loss(tensor.NewVec(1), randBatch(rng.New(1), 1, 3, 2))
+		m.LossWith(nil, tensor.NewVec(1), randBatch(rng.New(1), 1, 3, 2))
 	})
 	t.Run("input", func(t *testing.T) {
 		defer func() {
@@ -223,7 +223,7 @@ func TestMLPPanicsOnBadShapes(t *testing.T) {
 			}
 		}()
 		p := m.InitParams(rng.New(1))
-		m.Loss(p, []data.Sample{{X: tensor.NewVec(5), Y: 0}})
+		m.LossWith(nil, p, []data.Sample{{X: tensor.NewVec(5), Y: 0}})
 	})
 }
 
@@ -263,9 +263,11 @@ func BenchmarkSoftmaxGrad(b *testing.B) {
 	m := &SoftmaxRegression{In: 60, Classes: 10}
 	p := m.InitParams(r)
 	batch := randBatch(r, 17, 60, 10)
+	ws := m.NewWorkspace()
+	out := tensor.NewVec(m.NumParams())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Grad(p, batch)
+		m.GradInto(ws, p, batch, out)
 	}
 }
 
@@ -275,9 +277,11 @@ func BenchmarkSoftmaxHVP(b *testing.B) {
 	p := m.InitParams(r)
 	batch := randBatch(r, 17, 60, 10)
 	v := m.InitParams(r)
+	ws := m.NewWorkspace()
+	out := tensor.NewVec(m.NumParams())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.HVP(p, batch, v)
+		m.HVPInto(ws, p, batch, v, out)
 	}
 }
 
@@ -289,8 +293,10 @@ func BenchmarkMLPGradBN(b *testing.B) {
 	}
 	p := m.InitParams(r)
 	batch := randBatch(r, 16, 50, 2)
+	ws := m.NewWorkspace()
+	out := tensor.NewVec(m.NumParams())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Grad(p, batch)
+		m.GradInto(ws, p, batch, out)
 	}
 }

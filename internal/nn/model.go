@@ -8,10 +8,11 @@
 //     normalization (the Sent140 model), with manual backpropagation.
 //
 // The MAML meta-gradient (I − α∇²L_train(θ)) ∇L_test(φ) only ever needs a
-// Hessian-VECTOR product, never the full Hessian. Models may provide an
-// analytic HVP (SoftmaxRegression does); for the rest, HVP falls back to a
-// central finite difference of the gradient, the standard substitute when
-// second-order automatic differentiation is unavailable (see DESIGN.md §3).
+// Hessian-VECTOR product, never the full Hessian. SoftmaxRegression
+// computes it analytically; the MLP's HVPInto is a central finite
+// difference of the gradient (FiniteDiffHVPInto), the standard substitute
+// when second-order automatic differentiation is unavailable (see DESIGN.md
+// §3).
 package nn
 
 import (
@@ -24,70 +25,50 @@ import (
 
 // Model is a stateless model family: parameters live in a flat tensor.Vec so
 // that the federated runtime can aggregate, ship and compare them without
-// knowing the architecture.
+// knowing the architecture. Every kernel writes into a caller-provided
+// buffer and takes a Workspace from the same model's NewWorkspace; into.go
+// states the buffer conventions.
 type Model interface {
 	// NumParams returns the length of the flat parameter vector.
 	NumParams() int
 	// InitParams draws a fresh random initialization.
 	InitParams(r *rng.Rand) tensor.Vec
-	// Loss returns the empirical loss L(θ, D) (Eq. 1), averaged over batch.
-	Loss(params tensor.Vec, batch []data.Sample) float64
-	// Grad returns ∇_θ L(θ, D), averaged over batch.
-	Grad(params tensor.Vec, batch []data.Sample) tensor.Vec
+	// NewWorkspace returns reusable scratch for this model's kernels.
+	NewWorkspace() Workspace
+	// LossWith returns the empirical loss L(θ, D) (Eq. 1), averaged over
+	// batch.
+	LossWith(ws Workspace, params tensor.Vec, batch []data.Sample) float64
+	// GradInto computes ∇_θ L(θ, D), averaged over batch, into out. out
+	// must not alias params.
+	GradInto(ws Workspace, params tensor.Vec, batch []data.Sample, out tensor.Vec)
+	// GradStepInto computes out = params − lr·∇L(params, batch) as one
+	// fused kernel: the gradient lives in workspace scratch and the step is
+	// a single pass over the parameter vector, bit-identical to GradInto
+	// followed by an axpy. out may alias params (in-place step); it must
+	// not alias workspace memory.
+	GradStepInto(ws Workspace, params tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec)
+	// HVPInto computes the Hessian-vector product ∇²L(θ, D)·v into out.
+	// out must alias neither params nor v.
+	HVPInto(ws Workspace, params tensor.Vec, batch []data.Sample, v, out tensor.Vec)
+	// InputGradInto computes ∇_x l(θ, (x, y)) for a single sample into out
+	// (length = input dimension), as required by the adversarial data
+	// generation of Algorithm 2 and the FGSM attack. For models with batch
+	// normalization the statistics of ctx are treated as constants
+	// (frozen-BN approximation); ctx may be nil for models that do not
+	// need it.
+	InputGradInto(ws Workspace, params tensor.Vec, s data.Sample, ctx []data.Sample, out tensor.Vec)
 	// PredictBatch returns the predicted class of every sample. Predictions
 	// are computed jointly so models with batch normalization can use
 	// transductive batch statistics (as MAML-style meta-testing does).
 	PredictBatch(params tensor.Vec, batch []data.Sample) []int
-}
-
-// HVPComputer is implemented by models that can compute the Hessian-vector
-// product ∇²L(θ, D)·v analytically.
-type HVPComputer interface {
-	HVP(params tensor.Vec, batch []data.Sample, v tensor.Vec) tensor.Vec
-}
-
-// InputGradienter is implemented by models that can differentiate the
-// per-sample loss with respect to the input features, as required by the
-// adversarial data generation of Algorithm 2 and the FGSM attack.
-type InputGradienter interface {
-	// InputGrad returns ∇_x l(θ, (x, y)) for a single sample. For models
-	// with batch normalization the normalization statistics of ctx are
-	// treated as constants (frozen-BN approximation); ctx may be nil for
-	// models that do not need it.
-	InputGrad(params tensor.Vec, s data.Sample, ctx []data.Sample) tensor.Vec
+	// Segments reports the flat-vector layout. Segments are contiguous,
+	// sorted, and tile [0, NumParams()) exactly.
+	Segments() []Segment
 }
 
 // _fdEpsBase is the optimal step scale for central differences,
 // cbrt(machine epsilon).
 var _fdEpsBase = math.Cbrt(2.220446049250313e-16)
-
-// FiniteDiffHVP approximates ∇²L(θ)·v by a central finite difference of the
-// gradient: (∇L(θ+εv) − ∇L(θ−εv)) / 2ε, with ε scaled to the magnitudes of
-// θ and v. The error is O(ε²‖∇³L‖).
-func FiniteDiffHVP(m Model, params tensor.Vec, batch []data.Sample, v tensor.Vec) tensor.Vec {
-	vn := v.Norm()
-	if vn == 0 {
-		return tensor.NewVec(len(params))
-	}
-	eps := _fdEpsBase * (1 + params.Norm()) / vn
-	pp := params.Clone()
-	pp.Axpy(eps, v)
-	pm := params.Clone()
-	pm.Axpy(-eps, v)
-	g := m.Grad(pp, batch)
-	g.SubInPlace(m.Grad(pm, batch))
-	g.ScaleInPlace(1 / (2 * eps))
-	return g
-}
-
-// HVP returns ∇²L(θ, D)·v, using the model's analytic implementation when
-// available and the finite-difference approximation otherwise.
-func HVP(m Model, params tensor.Vec, batch []data.Sample, v tensor.Vec) tensor.Vec {
-	if h, ok := m.(HVPComputer); ok {
-		return h.HVP(params, batch, v)
-	}
-	return FiniteDiffHVP(m, params, batch, v)
-}
 
 // Accuracy evaluates the fraction of batch whose predicted class matches the
 // label.
@@ -105,18 +86,19 @@ func Accuracy(m Model, params tensor.Vec, batch []data.Sample) float64 {
 	return float64(correct) / float64(len(batch))
 }
 
-// NumericalGrad computes a central finite-difference gradient of m.Loss.
-// It is exposed for tests that verify analytic gradients.
+// NumericalGrad computes a central finite-difference gradient of
+// m.LossWith. It is exposed for tests that verify analytic gradients.
 func NumericalGrad(m Model, params tensor.Vec, batch []data.Sample) tensor.Vec {
 	const eps = 1e-6
+	ws := m.NewWorkspace()
 	g := tensor.NewVec(len(params))
 	p := params.Clone()
 	for i := range p {
 		orig := p[i]
 		p[i] = orig + eps
-		lp := m.Loss(p, batch)
+		lp := m.LossWith(ws, p, batch)
 		p[i] = orig - eps
-		lm := m.Loss(p, batch)
+		lm := m.LossWith(ws, p, batch)
 		p[i] = orig
 		g[i] = (lp - lm) / (2 * eps)
 	}

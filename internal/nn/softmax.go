@@ -28,17 +28,7 @@ type SoftmaxRegression struct {
 	InitScale float64
 }
 
-var (
-	_ Model             = (*SoftmaxRegression)(nil)
-	_ HVPComputer       = (*SoftmaxRegression)(nil)
-	_ InputGradienter   = (*SoftmaxRegression)(nil)
-	_ WorkspaceProvider = (*SoftmaxRegression)(nil)
-	_ GradIntoer        = (*SoftmaxRegression)(nil)
-	_ GradStepIntoer    = (*SoftmaxRegression)(nil)
-	_ HVPIntoer         = (*SoftmaxRegression)(nil)
-	_ InputGradIntoer   = (*SoftmaxRegression)(nil)
-	_ LossWither        = (*SoftmaxRegression)(nil)
-)
+var _ Model = (*SoftmaxRegression)(nil)
 
 // softmaxWorkspace owns the class-sized scratch vectors and the rebindable
 // matrix views of the softmax kernels, so the steady-state GradInto /
@@ -48,12 +38,11 @@ type softmaxWorkspace struct {
 	p, u, a     tensor.Vec // probability / direction / curvature scratch
 	gstep       tensor.Vec // gradient accumulator of the fused GradStepInto
 	w, gw, vw   tensor.Mat // views rebound onto params / out / v per call
-	fdBufs
 }
 
 func (*softmaxWorkspace) isWorkspace() {}
 
-// NewWorkspace implements WorkspaceProvider.
+// NewWorkspace implements Model.
 func (m *SoftmaxRegression) NewWorkspace() Workspace {
 	ws := &softmaxWorkspace{
 		classes: m.Classes,
@@ -87,7 +76,7 @@ func (m *SoftmaxRegression) bindView(mat *tensor.Mat, p tensor.Vec) tensor.Vec {
 	return p[m.Classes*m.In:]
 }
 
-// GradInto implements GradIntoer. out must not alias params.
+// GradInto implements Model.
 func (m *SoftmaxRegression) GradInto(ws Workspace, params tensor.Vec, batch []data.Sample, out tensor.Vec) {
 	s := m.workspace(ws)
 	b := m.bindView(&s.w, params)
@@ -107,11 +96,8 @@ func (m *SoftmaxRegression) GradInto(ws Workspace, params tensor.Vec, batch []da
 	}
 }
 
-// GradStepInto implements GradStepIntoer: out = params − lr·∇L(params, batch)
-// with the gradient held in workspace scratch and the step applied as one
-// fused pass, replacing the caller's copy-then-axpy pair. out may alias
-// params; it must not alias workspace memory. Bit-identical to GradInto
-// followed by the axpy step.
+// GradStepInto implements Model: the gradient is held in workspace scratch
+// and the step applied as one fused pass.
 func (m *SoftmaxRegression) GradStepInto(ws Workspace, params tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec) {
 	s := m.workspace(ws)
 	if len(s.gstep) != m.NumParams() {
@@ -121,8 +107,10 @@ func (m *SoftmaxRegression) GradStepInto(ws Workspace, params tensor.Vec, batch 
 	params.AxpyInto(-lr, s.gstep, out)
 }
 
-// HVPInto implements HVPIntoer: the analytic Hessian-vector product written
-// into out. out must alias neither params nor v.
+// HVPInto implements Model with the exact Hessian-vector product of the
+// softmax cross-entropy. For a single sample with probabilities p and
+// perturbation direction (V, v), let u = Vx + v; then
+// ∇²l · (V, v) = ((p∘u − p(pᵀu)) xᵀ, p∘u − p(pᵀu)).
 func (m *SoftmaxRegression) HVPInto(ws Workspace, params tensor.Vec, batch []data.Sample, v, out tensor.Vec) {
 	s := m.workspace(ws)
 	b := m.bindView(&s.w, params)
@@ -151,8 +139,8 @@ func (m *SoftmaxRegression) HVPInto(ws Workspace, params tensor.Vec, batch []dat
 	}
 }
 
-// InputGradInto implements InputGradIntoer: ∇_x l(θ, (x, y)) = Wᵀ(p − e_y)
-// written into out (length m.In).
+// InputGradInto implements Model: ∇_x l(θ, (x, y)) = Wᵀ(p − e_y). The ctx
+// batch is unused (softmax regression has no batch statistics).
 func (m *SoftmaxRegression) InputGradInto(ws Workspace, params tensor.Vec, smp data.Sample, _ []data.Sample, out tensor.Vec) {
 	s := m.workspace(ws)
 	b := m.bindView(&s.w, params)
@@ -195,12 +183,7 @@ func (m *SoftmaxRegression) probs(w *tensor.Mat, b tensor.Vec, x tensor.Vec, out
 	tensor.Softmax(out, out)
 }
 
-// Loss implements Model.
-func (m *SoftmaxRegression) Loss(params tensor.Vec, batch []data.Sample) float64 {
-	return m.LossWith(nil, params, batch)
-}
-
-// LossWith implements LossWither.
+// LossWith implements Model.
 func (m *SoftmaxRegression) LossWith(ws Workspace, params tensor.Vec, batch []data.Sample) float64 {
 	if len(params) != m.NumParams() {
 		panic(fmt.Sprintf("nn: SoftmaxRegression got %d params, want %d", len(params), m.NumParams()))
@@ -224,31 +207,6 @@ func (m *SoftmaxRegression) l2Term(params tensor.Vec) float64 {
 		return 0
 	}
 	return 0.5 * m.L2 * params.Dot(params)
-}
-
-// Grad implements Model. It is the allocating wrapper over GradInto.
-func (m *SoftmaxRegression) Grad(params tensor.Vec, batch []data.Sample) tensor.Vec {
-	g := tensor.NewVec(m.NumParams())
-	m.GradInto(nil, params, batch, g)
-	return g
-}
-
-// HVP implements HVPComputer: the exact Hessian-vector product of the
-// softmax cross-entropy. For a single sample with probabilities p and
-// perturbation direction (V, v), let u = Vx + v; then
-// ∇²l · (V, v) = ((p∘u − p(pᵀu)) xᵀ, p∘u − p(pᵀu)).
-func (m *SoftmaxRegression) HVP(params tensor.Vec, batch []data.Sample, v tensor.Vec) tensor.Vec {
-	out := tensor.NewVec(m.NumParams())
-	m.HVPInto(nil, params, batch, v, out)
-	return out
-}
-
-// InputGrad implements InputGradienter: ∇_x l(θ, (x, y)) = Wᵀ(p − e_y).
-// The ctx batch is unused (softmax regression has no batch statistics).
-func (m *SoftmaxRegression) InputGrad(params tensor.Vec, s data.Sample, _ []data.Sample) tensor.Vec {
-	out := tensor.NewVec(m.In)
-	m.InputGradInto(nil, params, s, nil, out)
-	return out
 }
 
 // PredictBatch implements Model.

@@ -22,6 +22,33 @@ func randBatch(r *rng.Rand, n, dim, classes int) []data.Sample {
 	return batch
 }
 
+// grad, hvp, fdHVP and inputGrad run the model kernels into fresh buffers
+// with a nil workspace, for tests that compare whole vectors.
+func grad(m Model, p tensor.Vec, batch []data.Sample) tensor.Vec {
+	out := tensor.NewVec(m.NumParams())
+	m.GradInto(nil, p, batch, out)
+	return out
+}
+
+func hvp(m Model, p tensor.Vec, batch []data.Sample, v tensor.Vec) tensor.Vec {
+	out := tensor.NewVec(m.NumParams())
+	m.HVPInto(nil, p, batch, v, out)
+	return out
+}
+
+func fdHVP(m Model, p tensor.Vec, batch []data.Sample, v tensor.Vec) tensor.Vec {
+	n := m.NumParams()
+	out := tensor.NewVec(n)
+	FiniteDiffHVPInto(m, nil, p, batch, v, out, tensor.NewVec(n), tensor.NewVec(n))
+	return out
+}
+
+func inputGrad(m Model, p tensor.Vec, s data.Sample, ctx []data.Sample) tensor.Vec {
+	out := tensor.NewVec(len(s.X))
+	m.InputGradInto(nil, p, s, ctx, out)
+	return out
+}
+
 func relErr(a, b tensor.Vec) float64 {
 	d := a.Sub(b).Norm()
 	den := math.Max(a.Norm(), b.Norm())
@@ -57,7 +84,7 @@ func TestSoftmaxRegressionGradMatchesNumerical(t *testing.T) {
 			p[i] = r.Norm() * 0.5
 		}
 		batch := randBatch(r, 7, 5, 4)
-		got := m.Grad(p, batch)
+		got := grad(m, p, batch)
 		want := NumericalGrad(m, p, batch)
 		if e := relErr(got, want); e > 1e-6 {
 			t.Errorf("L2=%v: analytic vs numerical gradient relErr = %v", l2, e)
@@ -77,8 +104,8 @@ func TestSoftmaxRegressionHVPMatchesFiniteDiff(t *testing.T) {
 	for i := range v {
 		v[i] = r.Norm()
 	}
-	got := m.HVP(p, batch, v)
-	want := FiniteDiffHVP(m, p, batch, v)
+	got := hvp(m, p, batch, v)
+	want := fdHVP(m, p, batch, v)
 	if e := relErr(got, want); e > 1e-5 {
 		t.Errorf("analytic vs FD HVP relErr = %v", e)
 	}
@@ -95,8 +122,8 @@ func TestSoftmaxRegressionHVPLinearity(t *testing.T) {
 		v1[i], v2[i] = r.Norm(), r.Norm()
 	}
 	sum := v1.Add(v2)
-	lhs := m.HVP(p, batch, sum)
-	rhs := m.HVP(p, batch, v1).Add(m.HVP(p, batch, v2))
+	lhs := hvp(m, p, batch, sum)
+	rhs := hvp(m, p, batch, v1).Add(hvp(m, p, batch, v2))
 	if e := relErr(lhs, rhs); e > 1e-10 {
 		t.Errorf("HVP not linear: relErr = %v", e)
 	}
@@ -113,8 +140,8 @@ func TestSoftmaxRegressionHVPSymmetry(t *testing.T) {
 	for i := range v {
 		v[i], w[i] = r.Norm(), r.Norm()
 	}
-	lhs := m.HVP(p, batch, v).Dot(w)
-	rhs := v.Dot(m.HVP(p, batch, w))
+	lhs := hvp(m, p, batch, v).Dot(w)
+	rhs := v.Dot(hvp(m, p, batch, w))
 	if math.Abs(lhs-rhs) > 1e-9*(1+math.Abs(lhs)) {
 		t.Errorf("HVP asymmetric: %v vs %v", lhs, rhs)
 	}
@@ -131,7 +158,7 @@ func TestSoftmaxRegressionHVPPositiveSemiDefinite(t *testing.T) {
 		for i := range v {
 			v[i] = r.Norm()
 		}
-		q := v.Dot(m.HVP(p, batch, v))
+		q := v.Dot(hvp(m, p, batch, v))
 		if q < 0.1*v.Dot(v)-1e-9 {
 			t.Fatalf("quadratic form %v below strong-convexity floor %v", q, 0.1*v.Dot(v))
 		}
@@ -146,16 +173,16 @@ func TestSoftmaxRegressionInputGradMatchesNumerical(t *testing.T) {
 		p[i] = r.Norm() * 0.3
 	}
 	s := randBatch(r, 1, 6, 3)[0]
-	got := m.InputGrad(p, s, nil)
+	got := inputGrad(m, p, s, nil)
 
 	const eps = 1e-6
 	want := tensor.NewVec(6)
 	for i := range s.X {
 		orig := s.X[i]
 		s.X[i] = orig + eps
-		lp := m.Loss(p, []data.Sample{s})
+		lp := m.LossWith(nil, p, []data.Sample{s})
 		s.X[i] = orig - eps
-		lm := m.Loss(p, []data.Sample{s})
+		lm := m.LossWith(nil, p, []data.Sample{s})
 		s.X[i] = orig
 		want[i] = (lp - lm) / (2 * eps)
 	}
@@ -169,12 +196,12 @@ func TestSoftmaxRegressionGradientDescentReducesLoss(t *testing.T) {
 	m := &SoftmaxRegression{In: 5, Classes: 3}
 	p := m.InitParams(r)
 	batch := randBatch(r, 30, 5, 3)
-	before := m.Loss(p, batch)
+	before := m.LossWith(nil, p, batch)
 	for step := 0; step < 50; step++ {
-		g := m.Grad(p, batch)
+		g := grad(m, p, batch)
 		p.Axpy(-0.5, g)
 	}
-	after := m.Loss(p, batch)
+	after := m.LossWith(nil, p, batch)
 	if after >= before {
 		t.Errorf("gradient descent failed: %v -> %v", before, after)
 	}
@@ -195,7 +222,7 @@ func TestSoftmaxRegressionLearnsSeparableProblem(t *testing.T) {
 	}
 	p := m.InitParams(r)
 	for step := 0; step < 300; step++ {
-		p.Axpy(-1.0, m.Grad(p, batch))
+		p.Axpy(-1.0, grad(m, p, batch))
 	}
 	if acc := Accuracy(m, p, batch); acc < 0.95 {
 		t.Errorf("accuracy %v on separable problem", acc)
@@ -205,10 +232,10 @@ func TestSoftmaxRegressionLearnsSeparableProblem(t *testing.T) {
 func TestSoftmaxRegressionEmptyBatch(t *testing.T) {
 	m := &SoftmaxRegression{In: 3, Classes: 2, L2: 0.5}
 	p := tensor.Vec{1, 0, 0, 0, 0, 0, 1, 0}
-	if got := m.Loss(p, nil); math.Abs(got-0.5) > 1e-12 {
+	if got := m.LossWith(nil, p, nil); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("empty-batch loss = %v, want pure L2 term 0.5", got)
 	}
-	g := m.Grad(p, nil)
+	g := grad(m, p, nil)
 	if relErr(g, p.Scale(0.5)) > 1e-12 {
 		t.Errorf("empty-batch grad = %v", g)
 	}
@@ -224,7 +251,7 @@ func TestSoftmaxRegressionParamLengthPanics(t *testing.T) {
 			t.Fatal("wrong param length did not panic")
 		}
 	}()
-	m.Loss(tensor.NewVec(3), nil)
+	m.LossWith(nil, tensor.NewVec(3), nil)
 }
 
 func TestSmoothnessAndConvexityAccessors(t *testing.T) {
@@ -239,6 +266,8 @@ func TestSmoothnessAndConvexityAccessors(t *testing.T) {
 	}
 }
 
+// The package-level HVPInto forward must reach the model's analytic kernel,
+// not the finite difference.
 func TestHVPDispatchUsesAnalytic(t *testing.T) {
 	r := rng.New(10)
 	m := &SoftmaxRegression{In: 3, Classes: 2}
@@ -248,17 +277,23 @@ func TestHVPDispatchUsesAnalytic(t *testing.T) {
 	for i := range v {
 		v[i] = r.Norm()
 	}
-	viaDispatch := HVP(m, p, batch, v)
-	direct := m.HVP(p, batch, v)
-	if relErr(viaDispatch, direct) != 0 {
-		t.Error("HVP dispatch did not use the analytic implementation")
+	viaDispatch := tensor.NewVec(m.NumParams())
+	HVPInto(m, NewWorkspace(m), p, batch, v, viaDispatch)
+	if relErr(viaDispatch, hvp(m, p, batch, v)) != 0 {
+		t.Error("HVPInto dispatch did not use the analytic implementation")
+	}
+	if relErr(viaDispatch, fdHVP(m, p, batch, v)) == 0 {
+		t.Error("HVPInto dispatch matches the finite difference bit for bit")
 	}
 }
 
 func TestFiniteDiffHVPZeroDirection(t *testing.T) {
 	m := &SoftmaxRegression{In: 3, Classes: 2}
 	p := m.InitParams(rng.New(1))
-	got := FiniteDiffHVP(m, p, nil, tensor.NewVec(m.NumParams()))
+	n := m.NumParams()
+	got := tensor.NewVec(n)
+	got.Fill(1) // stale contents must be overwritten
+	FiniteDiffHVPInto(m, nil, p, nil, tensor.NewVec(n), got, tensor.NewVec(n), tensor.NewVec(n))
 	if got.Norm() != 0 {
 		t.Errorf("FD HVP of zero direction = %v", got.Norm())
 	}

@@ -5,7 +5,7 @@
 // thus structural — baked into the parameter layout — rather than recovered
 // by post-hoc gradient adaptation as in FedML.
 //
-// The split rides on the nn.Segmenter layout metadata: every segment named
+// The split rides on the Model.Segments layout metadata: every segment named
 // "head.*" stays local, everything else is the shared representation. A
 // model whose parameters are all head (e.g. softmax regression) is rejected
 // at configuration time — there would be nothing to share.
@@ -69,15 +69,11 @@ type Result struct {
 }
 
 // SharedSegments returns the model's non-head segments — the representation
-// block this baseline synchronizes. It errors when the model exposes no
-// layout or when every parameter belongs to the head.
+// block this baseline synchronizes. It errors when every parameter belongs
+// to the head.
 func SharedSegments(m nn.Model) ([]nn.Segment, error) {
-	sg, ok := m.(nn.Segmenter)
-	if !ok {
-		return nil, fmt.Errorf("repshare: model %T does not expose parameter segments", m)
-	}
 	var shared []nn.Segment
-	for _, s := range sg.Segments() {
+	for _, s := range m.Segments() {
 		if len(s.Name) >= 5 && s.Name[:5] == "head." {
 			continue
 		}
@@ -128,13 +124,9 @@ func Train(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Config) (*Re
 	for i := range locals {
 		locals[i] = theta0.Clone()
 	}
-	type workerScratch struct {
-		ws nn.Workspace
-		g  tensor.Vec
-	}
-	scratch := make([]workerScratch, par.Span(cfg.Workers, len(fed.Sources)))
-	for w := range scratch {
-		scratch[w] = workerScratch{ws: nn.NewWorkspace(m), g: tensor.NewVec(np)}
+	wss := make([]nn.Workspace, par.Span(cfg.Workers, len(fed.Sources)))
+	for w := range wss {
+		wss[w] = m.NewWorkspace()
 	}
 	agg := tensor.NewVec(np)
 	var prev tensor.Vec
@@ -153,10 +145,9 @@ func Train(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Config) (*Re
 			})
 		}
 		err := par.ForEachWorkerErr(cfg.Workers, len(fed.Sources), func(w, i int) error {
-			sc := &scratch[w]
 			ti := locals[i]
 			for t := 0; t < cfg.T0; t++ {
-				nn.GradStepInto(m, sc.ws, ti, local[i], cfg.Eta, sc.g, ti)
+				m.GradStepInto(wss[w], ti, local[i], cfg.Eta, ti)
 			}
 			if !ti.IsFinite() {
 				return fmt.Errorf("repshare: node %d diverged in round %d", i, round)

@@ -138,7 +138,7 @@ func TestTrainLocalHeadsPersonalize(t *testing.T) {
 	better := 0
 	for i, nd := range fed.Sources {
 		all := nd.All()
-		if m.Loss(res.Locals[i], all) < m.Loss(res.Theta, all) {
+		if m.LossWith(nil, res.Locals[i], all) < m.LossWith(nil, res.Theta, all) {
 			better++
 		}
 	}

@@ -97,18 +97,14 @@ func Train(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Config) (*Re
 
 	weights := fed.Weights()
 	theta := theta0.Clone()
-	// Per-worker scratch (workspace + gradient buffer) and per-node
-	// adapted-parameter slots φ_i, all reused across rounds. Error slots
-	// are owned by par.ForEachWorkerErr and fresh per round, so a failure
-	// in one round cannot leak into the next.
-	type workerScratch struct {
-		ws nn.Workspace
-		g  tensor.Vec
-	}
+	// Per-worker workspaces and per-node adapted-parameter slots φ_i, all
+	// reused across rounds. Error slots are owned by par.ForEachWorkerErr
+	// and fresh per round, so a failure in one round cannot leak into the
+	// next.
 	np := m.NumParams()
-	scratch := make([]workerScratch, par.Span(cfg.Workers, len(fed.Sources)))
-	for w := range scratch {
-		scratch[w] = workerScratch{ws: nn.NewWorkspace(m), g: tensor.NewVec(np)}
+	wss := make([]nn.Workspace, par.Span(cfg.Workers, len(fed.Sources)))
+	for w := range wss {
+		wss[w] = m.NewWorkspace()
 	}
 	adapted := make([]tensor.Vec, len(fed.Sources))
 	for i := range adapted {
@@ -132,11 +128,10 @@ func Train(m nn.Model, fed *data.Federation, theta0 tensor.Vec, cfg Config) (*Re
 		// Inner runs are independent; run them on the pool and keep the
 		// aggregation order fixed by index for determinism.
 		err := par.ForEachWorkerErr(cfg.Workers, len(fed.Sources), func(w, i int) error {
-			sc := &scratch[w]
 			phi := adapted[i]
 			phi.CopyFrom(theta)
 			for s := 0; s < cfg.InnerSteps; s++ {
-				nn.GradStepInto(m, sc.ws, phi, fed.Sources[i].Train, cfg.InnerLR, sc.g, phi)
+				m.GradStepInto(wss[w], phi, fed.Sources[i].Train, cfg.InnerLR, phi)
 			}
 			if !phi.IsFinite() {
 				return fmt.Errorf("reptile: node %d diverged in round %d", i, round)

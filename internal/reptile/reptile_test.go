@@ -91,7 +91,7 @@ func TestMetaLROneInterpolatesFully(t *testing.T) {
 	for i, nd := range fed.Sources {
 		phi := theta0.Clone()
 		for s := 0; s < 2; s++ {
-			phi.Axpy(-0.05, m.Grad(phi, nd.Train))
+			m.GradStepInto(nil, phi, nd.Train, 0.05, phi)
 		}
 		adapted[i] = phi
 	}
@@ -141,7 +141,7 @@ func TestTrainDivergenceDetected(t *testing.T) {
 	}
 }
 
-// nanAtCall poisons a window of Grad calls; with Workers=1 the round loop
+// nanAtCall poisons a window of GradStepInto calls; with Workers=1 the round loop
 // visits nodes in index order (InnerSteps calls per node per round), so the
 // window addresses an exact (node, round) pair.
 type nanAtCall struct {
@@ -150,13 +150,12 @@ type nanAtCall struct {
 	from, to int
 }
 
-func (m *nanAtCall) Grad(theta tensor.Vec, batch []data.Sample) tensor.Vec {
-	g := m.Model.Grad(theta, batch).Clone()
+func (m *nanAtCall) GradStepInto(ws nn.Workspace, theta tensor.Vec, batch []data.Sample, lr float64, out tensor.Vec) {
+	m.Model.GradStepInto(ws, theta, batch, lr, out)
 	if m.calls >= m.from && m.calls < m.to {
-		g[0] = math.NaN()
+		out[0] = math.NaN()
 	}
 	m.calls++
-	return g
 }
 
 // Regression guard for the per-round error slots: a node failing in round 2
