@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race test-short check chaos-smoke obs-smoke codec-smoke shard-smoke async-smoke energy-smoke workloads-smoke examples-smoke profile bench bench-json bench-check bench-paper bench-par bench-scale bench-async bench-energy bench-workloads fuzz fuzz-smoke examples clean
+.PHONY: all build vet test test-race test-short check chaos-smoke obs-smoke codec-smoke shard-smoke async-smoke energy-smoke workloads-smoke examples-smoke profile bench bench-json bench-check bench-paper bench-experiments fuzz fuzz-smoke examples clean
 
 # Scratch directory for generated artifacts (metrics sinks, bench output,
 # profiles); removed by `make clean`, never committed.
@@ -140,66 +140,44 @@ profile:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable performance snapshot: the key end-to-end and kernel
-# benchmarks rendered to BENCH_fedml.json (name -> ns/op, B/op, allocs/op)
-# by cmd/benchjson, so performance regressions show up as diffs.
+# The key end-to-end and kernel benchmarks, as one `go test -bench` run; its
+# transcript is kept in $(BUILD_DIR)/bench_output.txt and piped on.
+BENCH_SUITE = $(GO) test -run '^$$' \
+	-bench 'Fig2aNodeSimilarity|MetaStep|FastAdaptation|GradInto|GradStepInto' \
+	-benchmem . | tee $(BUILD_DIR)/bench_output.txt
+
+# Machine-readable performance snapshot: BENCH_SUITE rendered to
+# BENCH_fedml.json (name -> ns/op, B/op, allocs/op) by cmd/benchjson, so
+# performance regressions show up as diffs.
 bench-json:
 	@mkdir -p $(BUILD_DIR)
-	$(GO) test -run '^$$' \
-		-bench 'Fig2aNodeSimilarity|MetaStep|FastAdaptation|GradInto|GradStepInto' \
-		-benchmem . | tee $(BUILD_DIR)/bench_output.txt | $(GO) run ./cmd/benchjson -out BENCH_fedml.json
+	$(BENCH_SUITE) | $(GO) run ./cmd/benchjson -out BENCH_fedml.json
 
-# CI regression gate: re-measure the bench-json suite into $(BUILD_DIR) and
-# fail when allocs/op or B/op grew more than 10% over the committed
-# BENCH_fedml.json (ns/op is reported, not gated — CI wall time is noise).
-# Also checks the committed experiment snapshot still carries the workload
-# personalization matrices (presence + schema; values are gated by the bench
-# that wrote them).
+# CI regression gate: re-measure BENCH_SUITE into $(BUILD_DIR) and fail when
+# allocs/op or B/op grew more than 10% over the committed BENCH_fedml.json
+# (ns/op is reported, not gated — CI wall time is noise). The schema of the
+# committed BENCH_experiments.json is checked by the tier-1 tests of
+# cmd/fedml-bench.
 bench-check:
 	@mkdir -p $(BUILD_DIR)
-	$(GO) test -run '^$$' \
-		-bench 'Fig2aNodeSimilarity|MetaStep|FastAdaptation|GradInto|GradStepInto' \
-		-benchmem . | tee $(BUILD_DIR)/bench_output.txt | $(GO) run ./cmd/benchjson -out $(BUILD_DIR)/bench_current.json
+	$(BENCH_SUITE) | $(GO) run ./cmd/benchjson -out $(BUILD_DIR)/bench_current.json
 	$(GO) run ./cmd/benchjson compare BENCH_fedml.json $(BUILD_DIR)/bench_current.json
-	$(GO) run ./cmd/benchjson expcheck BENCH_experiments.json ext_rec ext_fault
 
 # Regenerate every table and figure at the paper's scale.
 bench-paper:
 	$(GO) run ./cmd/fedml-bench -exp all -paper
 
-# Parallel-speedup snapshot: time the fig2a grid at workers=1 vs all cores,
-# verify the outputs are byte-identical (the determinism contract), and
-# merge the measurement into BENCH_experiments.json under "par_bench".
-bench-par:
-	$(GO) run ./cmd/fedml-bench -par-bench -out BENCH_experiments.json
-
-# Fleet-scale throughput snapshot: run ext-scale (10⁵+ simulated nodes per
-# round through the sharded two-tier topology) at paper scale and merge
-# rounds/sec into BENCH_experiments.json under "ext_scale".
-bench-scale:
-	$(GO) run ./cmd/fedml-bench -scale-bench -paper -out BENCH_experiments.json
-
-# Async-vs-sync throughput snapshot: run ext-async (one node at 10× latency)
-# and merge round throughput + objective gap into BENCH_experiments.json
-# under "async_skew". Fails if async is under 2× sync or the objective gap
-# exceeds 5%.
-bench-async:
-	$(GO) run ./cmd/fedml-bench -async-bench -out BENCH_experiments.json
-
-# Energy snapshot: run ext-energy (full vs head-only sync priced in joules on
-# the lora-like radio) and merge the per-arm bills into BENCH_experiments.json
-# under "ext_energy". Fails if head-only sync lands more than 2 accuracy
-# points below full sync or saves less than 3× the joules.
-bench-energy:
-	$(GO) run ./cmd/fedml-bench -energy-bench -out BENCH_experiments.json
-
-# Workload snapshot: run ext-rec and ext-fault (federated recommendation and
-# TinyML fault classification with the FedML/FedAvg/FedProx/RepShare
-# personalization matrix) and merge the results into BENCH_experiments.json
-# under "ext_rec" and "ext_fault". Fails if FedML's adapted accuracy falls
-# below the FedAvg or FedProx global baseline on either workload.
-bench-workloads:
-	$(GO) run ./cmd/fedml-bench -workloads-bench -out BENCH_experiments.json
+# Experiment snapshot: run every measured experiment (`fedml-bench -list`
+# marks them), enforce its gate, and merge its entry into
+# BENCH_experiments.json. ext-scale is recorded at paper scale (2.6×10⁵
+# simulated nodes), the others at CI scale. Fails when a gate fails: the
+# fig2a worker sweep's outputs differ, async is under 2× sync or its
+# objective gap over 5%, head-only sync loses more than 2 accuracy points or
+# saves under 3× the joules, or FedML's adapted accuracy is below the
+# FedAvg/FedProx global baselines on rec or fault.
+bench-experiments:
+	$(GO) run ./cmd/fedml-bench -bench par,ext-async,ext-energy,ext-rec,ext-fault -out BENCH_experiments.json
+	$(GO) run ./cmd/fedml-bench -bench ext-scale -paper -out BENCH_experiments.json
 
 # Short fuzzing pass over the parsers and the update codecs.
 fuzz:

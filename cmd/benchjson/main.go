@@ -16,16 +16,6 @@
 // the threshold against the committed baseline, or when a baselined
 // benchmark disappeared. ns/op is reported but never gated — wall time on
 // shared CI runners is too noisy to block merges on.
-//
-// The expcheck subcommand validates the keyed experiment-measurement file:
-//
-//	benchjson expcheck BENCH_experiments.json ext_rec ext_fault
-//
-// It exits non-zero when a named key is missing or its entry does not match
-// the personalization-matrix schema (an `arms` array whose rows carry arm /
-// global_acc / adapted_acc). Values are never gated — the accuracy floors
-// live in `fedml-bench -workloads-bench`; this check only keeps the recorded
-// snapshot structurally honest.
 package main
 
 import (
@@ -230,80 +220,7 @@ func runCompare(args []string) error {
 	return compare(os.Stdout, baseline, current, *threshold)
 }
 
-// expArm is the schema of one personalization-matrix row in an experiment
-// entry; pointers distinguish "absent" from zero.
-type expArm struct {
-	Arm        *string  `json:"arm"`
-	GlobalAcc  *float64 `json:"global_acc"`
-	AdaptedAcc *float64 `json:"adapted_acc"`
-}
-
-// expcheck validates that each named key exists in the keyed experiment file
-// and holds a personalization matrix: a non-empty `arms` array whose rows
-// all carry arm/global_acc/adapted_acc. Presence and shape only — values are
-// gated by the bench that wrote them.
-func expcheck(w io.Writer, path string, keys []string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("benchjson expcheck: %w", err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("benchjson expcheck: parsing %s: %w", path, err)
-	}
-	var failures []string
-	for _, key := range keys {
-		entry, ok := doc[key]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: key missing", key))
-			continue
-		}
-		var body struct {
-			Arms []expArm `json:"arms"`
-		}
-		if err := json.Unmarshal(entry, &body); err != nil {
-			failures = append(failures, fmt.Sprintf("%s: not an experiment entry: %v", key, err))
-			continue
-		}
-		if len(body.Arms) == 0 {
-			failures = append(failures, fmt.Sprintf("%s: empty or missing arms array", key))
-			continue
-		}
-		for i, a := range body.Arms {
-			switch {
-			case a.Arm == nil || *a.Arm == "":
-				failures = append(failures, fmt.Sprintf("%s: arms[%d] missing arm name", key, i))
-			case a.GlobalAcc == nil:
-				failures = append(failures, fmt.Sprintf("%s: arms[%d] (%s) missing global_acc", key, i, *a.Arm))
-			case a.AdaptedAcc == nil:
-				failures = append(failures, fmt.Sprintf("%s: arms[%d] (%s) missing adapted_acc", key, i, *a.Arm))
-			}
-		}
-		fmt.Fprintf(w, "ok   %-10s %d arms\n", key, len(body.Arms))
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("benchjson expcheck: %d schema failure(s) in %s:\n  %s",
-			len(failures), path, strings.Join(failures, "\n  "))
-	}
-	fmt.Fprintf(w, "benchjson: %d experiment entries in %s match the schema\n", len(keys), path)
-	return nil
-}
-
-func runExpcheck(args []string) error {
-	if len(args) < 2 {
-		return fmt.Errorf("benchjson expcheck: want <file.json> <key>..., got %d args", len(args))
-	}
-	return expcheck(os.Stdout, args[0], args[1:])
-}
-
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "expcheck" {
-		if err := runExpcheck(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if len(os.Args) > 1 && os.Args[1] == "compare" {
 		if err := runCompare(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, err)

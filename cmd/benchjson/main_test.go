@@ -148,80 +148,3 @@ func TestCompareRoundTripFiles(t *testing.T) {
 		t.Errorf("self-comparison failed: %v", err)
 	}
 }
-
-const expSample = `{
-  "ext_rec": {
-    "scale": "ci",
-    "workload": "rec",
-    "trajectory": [{"kib": 10, "acc": 0.5}],
-    "arms": [
-      {"arm": "fedml", "global_acc": 0.51, "adapted_acc": 0.74, "gap": 0.23},
-      {"arm": "fedavg", "global_acc": 0.55, "adapted_acc": 0.60, "gap": 0.05}
-    ]
-  },
-  "ext_fault": {
-    "scale": "ci",
-    "workload": "fault",
-    "arms": [
-      {"arm": "fedml", "global_acc": 0.4, "adapted_acc": 0.8, "gap": 0.4}
-    ]
-  },
-  "par_bench": {"speedup": 3.1}
-}`
-
-func TestExpcheckAcceptsValidEntries(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "exp.json")
-	if err := os.WriteFile(path, []byte(expSample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if err := expcheck(&out, path, []string{"ext_rec", "ext_fault"}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "2 experiment entries") {
-		t.Errorf("output missing summary: %s", out.String())
-	}
-}
-
-func TestExpcheckFailures(t *testing.T) {
-	dir := t.TempDir()
-	writeDoc := func(name, doc string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	var out strings.Builder
-	cases := map[string]struct {
-		doc  string
-		keys []string
-	}{
-		"missing key":       {expSample, []string{"ext_rec", "ext_images"}},
-		"no arms":           {`{"ext_rec": {"scale": "ci"}}`, []string{"ext_rec"}},
-		"empty arms":        {`{"ext_rec": {"arms": []}}`, []string{"ext_rec"}},
-		"nameless arm":      {`{"ext_rec": {"arms": [{"global_acc": 1, "adapted_acc": 1}]}}`, []string{"ext_rec"}},
-		"missing global":    {`{"ext_rec": {"arms": [{"arm": "fedml", "adapted_acc": 1}]}}`, []string{"ext_rec"}},
-		"missing adapted":   {`{"ext_rec": {"arms": [{"arm": "fedml", "global_acc": 1}]}}`, []string{"ext_rec"}},
-		"entry wrong shape": {`{"ext_rec": {"arms": "nope"}}`, []string{"ext_rec"}},
-		"not json":          {`]`, []string{"ext_rec"}},
-	}
-	for name, tc := range cases {
-		path := writeDoc(strings.ReplaceAll(name, " ", "_")+".json", tc.doc)
-		if err := expcheck(&out, path, tc.keys); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	if err := expcheck(&out, filepath.Join(dir, "missing.json"), []string{"x"}); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-func TestRunExpcheckArgs(t *testing.T) {
-	if err := runExpcheck(nil); err == nil {
-		t.Error("no args accepted")
-	}
-	if err := runExpcheck([]string{"only-file.json"}); err == nil {
-		t.Error("file without keys accepted")
-	}
-}

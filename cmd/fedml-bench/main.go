@@ -2,25 +2,27 @@
 //
 // Usage:
 //
-//	fedml-bench -list                 # show available experiments
-//	fedml-bench -exp fig2a            # run one experiment (CI scale)
-//	fedml-bench -exp all -paper       # run everything at paper scale
-//	fedml-bench -par-bench -workers 4 # measure parallel speedup on fig2a
-//	fedml-bench -scale-bench -paper   # measure fleet-scale sharded throughput
-//	fedml-bench -async-bench          # measure async vs sync rounds/sec under latency skew
-//	fedml-bench -energy-bench         # measure accuracy-per-joule of partial vs full sync
-//	fedml-bench -workloads-bench      # run the rec/fault personalization matrices and check the gap
+//	fedml-bench -list                   # show available experiments and the measured ones' keys
+//	fedml-bench -exp fig2a              # run one experiment (CI scale)
+//	fedml-bench -exp all -paper         # run everything at paper scale
+//	fedml-bench -bench par -workers 4   # measure and gate the fig2a worker sweep
+//	fedml-bench -bench all -out BENCH_experiments.json
+//	                                    # run every measured experiment, gate it, record its entry
 //
 // Each experiment prints the same rows/series the paper reports; the
-// per-experiment index lives in DESIGN.md §4.
+// per-experiment index lives in DESIGN.md §4. A measured experiment also
+// declares, in the registry, the key of its BENCH_experiments.json entry and
+// the gate its result must pass; -bench runs it, applies the gate and, with
+// -out, merges the entry into the file.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -37,26 +39,36 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("fedml-bench", flag.ContinueOnError)
 	var (
-		exp         = fs.String("exp", "all", "experiment id (see -list) or \"all\"")
-		paper       = fs.Bool("paper", false, "run at the paper's scale instead of the fast CI scale")
-		list        = fs.Bool("list", false, "list available experiments and exit")
-		workers     = fs.Int("workers", 0, "worker count for parallel sections (0 = all cores, 1 = serial)")
-		parBench    = fs.Bool("par-bench", false, "benchmark the fig2a grid at workers=1 vs -workers, verify identical output, and report the speedup")
-		scaleBench  = fs.Bool("scale-bench", false, "benchmark fleet-scale two-tier aggregation (ext-scale) and report rounds/sec")
-		asyncBench  = fs.Bool("async-bench", false, "benchmark buffered-async vs sync round throughput under latency skew (ext-async)")
-		energyBench = fs.Bool("energy-bench", false, "measure accuracy-per-joule of head-only partial sync vs full sync (ext-energy) and check the savings floor")
-		workBench   = fs.Bool("workloads-bench", false, "run the ext-rec and ext-fault personalization matrices and check FedML's adapted accuracy beats the global baselines")
-		out         = fs.String("out", "", "with -par-bench, -scale-bench, -async-bench, or -energy-bench: merge the measurement into this keyed JSON file")
-		codecs      = fs.String("codec", "", "with -exp ext-codec: comma-separated update codecs to compare, first is the baseline (default raw,f16,q8,topk)")
+		exp     = fs.String("exp", "all", "experiment id (see -list) or \"all\"")
+		paper   = fs.Bool("paper", false, "run at the paper's scale instead of the fast CI scale")
+		list    = fs.Bool("list", false, "list available experiments and exit")
+		workers = fs.Int("workers", 0, "worker count for parallel sections (0 = all cores, 1 = serial)")
+		bench   = fs.String("bench", "", "comma-separated measured experiment ids (see -list) or \"all\": run each and enforce its gate")
+		out     = fs.String("out", "", "with -bench: merge each measured entry into this keyed JSON file")
+		codecs  = fs.String("codec", "", "with -exp ext-codec: comma-separated update codecs to compare, first is the baseline (default raw,f16,q8,topk)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	expSet := false
+	fs.Visit(func(f *flag.Flag) { expSet = expSet || f.Name == "exp" })
+	switch {
+	case *out != "" && *bench == "":
+		return errors.New("-out only applies to -bench")
+	case *bench != "" && *codecs != "":
+		return errors.New("-codec does not apply to -bench")
+	case *bench != "" && expSet:
+		return errors.New("-exp and -bench are exclusive")
 	}
 
 	if *list {
 		fmt.Println("available experiments:")
 		for _, e := range experiments.All() {
-			fmt.Printf("  %-8s %s\n", e.ID, e.Description)
+			key := ""
+			if e.Bench != nil {
+				key = " [-bench, key " + e.Bench.Key + "]"
+			}
+			fmt.Printf("  %-8s %s%s\n", e.ID, e.Description, key)
 		}
 		return nil
 	}
@@ -66,139 +78,94 @@ func run(args []string) error {
 		scale = experiments.ScalePaper
 	}
 
-	if *parBench {
-		return runParBench(scale, *workers, *out)
+	ids := *exp
+	if *bench != "" {
+		ids = *bench
 	}
-	if *scaleBench {
-		return runScaleBench(scale, *out)
+	todo, err := selectExperiments(ids, *bench != "")
+	if err != nil {
+		return err
 	}
-	if *asyncBench {
-		return runAsyncBench(scale, *out)
-	}
-	if *energyBench {
-		return runEnergyBench(scale, *workers, *out)
-	}
-	if *workBench {
-		return runWorkloadsBench(scale, *workers, *out)
-	}
-
 	if *codecs != "" {
 		if *exp != "ext-codec" {
 			return fmt.Errorf("-codec only applies to -exp ext-codec (got -exp %s)", *exp)
 		}
-		cfg := experiments.DefaultExtCodecConfig(scale)
-		cfg.Workers = *workers
-		cfg.Codecs = strings.Split(*codecs, ",")
-		start := time.Now()
-		res, err := experiments.RunExtCodec(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("=== ext-codec (scale=%s, %.1fs) ===\n%s\n", scale, time.Since(start).Seconds(), res.Render())
-		return nil
-	}
-
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = ids[:0]
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
+		todo[0].Run = func(s experiments.Scale, w int) (experiments.Renderable, error) {
+			cfg := experiments.DefaultExtCodecConfig(s)
+			cfg.Workers, cfg.Codecs = w, strings.Split(*codecs, ",")
+			return experiments.RunExtCodec(cfg)
 		}
 	}
-
-	for _, id := range ids {
+	for _, e := range todo {
 		start := time.Now()
-		out, err := experiments.Run(id, scale, *workers)
+		res, err := e.Run(scale, *workers)
 		if err != nil {
-			return err
+			return fmt.Errorf("experiment %s: %w", e.ID, err)
 		}
-		fmt.Printf("=== %s (scale=%s, %.1fs) ===\n%s\n", id, scale, time.Since(start).Seconds(), out)
+		fmt.Printf("=== %s (scale=%s, %.1fs) ===\n%s\n", e.ID, scale, time.Since(start).Seconds(), res.Render())
+		if *bench == "" {
+			continue
+		}
+		entry, err := e.Bench.Record(res)
+		if err != nil {
+			return fmt.Errorf("bench %s: %w", e.ID, err)
+		}
+		if *out != "" {
+			if err := mergeBenchEntry(*out, e.Bench.Key, entry); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// parBenchPoint is one leg of the speedup curve: the fig2a grid timed at a
-// worker count, relative to the workers=1 leg.
-type parBenchPoint struct {
-	Workers    int     `json:"workers"`
-	ParallelNs int64   `json:"parallel_ns"`
-	Speedup    float64 `json:"speedup"`
-}
-
-// parBenchReport is the JSON shape stored under "par_bench".
-type parBenchReport struct {
-	Experiment string `json:"experiment"`
-	Scale      string `json:"scale"`
-	// GOMAXPROCS and Workers record the actual parallelism of the run, so a
-	// snapshot taken on a small machine is honest about what it compared.
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Workers    int     `json:"workers"`
-	SerialNs   int64   `json:"serial_ns"`
-	ParallelNs int64   `json:"parallel_ns"`
-	Speedup    float64 `json:"speedup"`
-	// Degenerate marks a run whose effective parallelism never exceeded 1 —
-	// a single-core host, or an explicit -workers 1 — so Speedup measures
-	// worker-pool overhead, not scaling.
-	Degenerate      bool `json:"degenerate,omitempty"`
-	OutputIdentical bool `json:"output_identical"`
-	// Curve is the multi-worker sweep (doubling counts up to Workers);
-	// ParallelNs/Speedup above mirror its last (largest) leg.
-	Curve []parBenchPoint `json:"curve"`
-}
-
-// degenerateRun reports whether a serial-vs-parallel comparison ran at
-// effective parallelism ≤ 1, either because the host has a single core or
-// because the parallel leg was itself asked for one worker. It must depend
-// on the parallelism the run actually used: deriving it from GOMAXPROCS
-// alone recorded a `-workers 1` run on a multi-core box as a non-degenerate
-// ~1.0× "speedup".
-func degenerateRun(workers, gomaxprocs int) bool {
-	return workers <= 1 || gomaxprocs <= 1
-}
-
-// workerSweep returns the worker counts of the speedup curve: doubling from
-// 2 up to and including max, or just {1} when max ≤ 1.
-func workerSweep(max int) []int {
-	if max <= 1 {
-		return []int{1}
+// selectExperiments resolves a comma-separated id list, or "all", to
+// registered experiments — only measured ones when measuredOnly is set.
+func selectExperiments(ids string, measuredOnly bool) ([]experiments.Experiment, error) {
+	if ids == "all" {
+		var all []experiments.Experiment
+		for _, e := range experiments.All() {
+			if !measuredOnly || e.Bench != nil {
+				all = append(all, e)
+			}
+		}
+		return all, nil
 	}
-	var counts []int
-	for w := 2; w < max; w *= 2 {
-		counts = append(counts, w)
+	var picked []experiments.Experiment
+	for _, id := range strings.Split(ids, ",") {
+		e, err := experiments.Find(id)
+		if err != nil {
+			return nil, err
+		}
+		if measuredOnly && e.Bench == nil {
+			return nil, fmt.Errorf("-bench %s: not a measured experiment (see -list)", id)
+		}
+		picked = append(picked, e)
 	}
-	return append(counts, max)
+	return picked, nil
 }
 
-// scaleBenchReport is the JSON shape stored under "ext_scale".
-type scaleBenchReport struct {
-	Scale            string  `json:"scale"`
-	Nodes            int     `json:"nodes"`
-	Shards           int     `json:"shards"`
-	Dim              int     `json:"dim"`
-	Rounds           int     `json:"rounds"`
-	ElapsedNs        int64   `json:"elapsed_ns"`
-	RoundsPerSec     float64 `json:"rounds_per_sec"`
-	NodeRoundsPerSec float64 `json:"node_rounds_per_sec"`
-	StatsParity      bool    `json:"stats_parity"`
-	MaxClosedFormErr float64 `json:"max_closed_form_err"`
-}
+// errCorruptSnapshot marks a measurement file that exists but is not a keyed
+// JSON object. Merging into it would silently drop every recorded entry, so
+// the merge is refused and the file left untouched.
+var errCorruptSnapshot = errors.New("existing measurement file does not parse")
 
-// benchKeys are the families BENCH_experiments.json may hold; anything else
-// found in the file (e.g. the legacy flat par-bench shape) is dropped on the
-// next write.
-var benchKeys = []string{"par_bench", "ext_scale", "async_skew", "ext_energy", "ext_rec", "ext_fault"}
-
-// mergeBenchEntry read-modify-writes one family entry into the keyed
-// measurement file, preserving the other families' entries.
+// mergeBenchEntry read-modify-writes one entry into the keyed measurement
+// file. Entries under the other registered keys are kept; anything else
+// found in the file (e.g. a retired key) is dropped.
 func mergeBenchEntry(path, key string, entry any) error {
 	doc := map[string]json.RawMessage{}
 	if blob, err := os.ReadFile(path); err == nil {
 		var prev map[string]json.RawMessage
-		if json.Unmarshal(blob, &prev) == nil {
-			for _, k := range benchKeys {
-				if v, ok := prev[k]; ok {
-					doc[k] = v
-				}
+		if err := json.Unmarshal(blob, &prev); err != nil {
+			return fmt.Errorf("bench merge %s: %w: %v", path, errCorruptSnapshot, err)
+		}
+		for _, e := range experiments.All() {
+			if e.Bench == nil {
+				continue
+			}
+			if v, ok := prev[e.Bench.Key]; ok {
+				doc[e.Bench.Key] = v
 			}
 		}
 	} else if !os.IsNotExist(err) {
@@ -214,280 +181,33 @@ func mergeBenchEntry(path, key string, entry any) error {
 	if err != nil {
 		return fmt.Errorf("bench marshal %s: %w", path, err)
 	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	return writeFileAtomic(path, append(out, '\n'))
 }
 
-// runParBench times the fig2a grid serially and then across a doubling
-// sweep of worker counts up to the requested one, checks every rendered
-// output is byte-identical to the serial one (the par contract), and prints
-// — and optionally writes — the speedup curve.
-func runParBench(scale experiments.Scale, workers int, outPath string) error {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	start := time.Now()
-	serialOut, err := experiments.Run("fig2a", scale, 1)
+// writeFileAtomic writes data to a temporary file in path's directory and
+// renames it over path, so an interrupted write never truncates the
+// previous snapshot.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("par-bench serial run: %w", err)
+		return fmt.Errorf("bench write %s: %w", path, err)
 	}
-	serialNs := time.Since(start).Nanoseconds()
-
-	curve := make([]parBenchPoint, 0, 8)
-	for _, w := range workerSweep(workers) {
-		start = time.Now()
-		parOut, err := experiments.Run("fig2a", scale, w)
-		if err != nil {
-			return fmt.Errorf("par-bench workers=%d run: %w", w, err)
-		}
-		ns := time.Since(start).Nanoseconds()
-		if parOut != serialOut {
-			return fmt.Errorf("par-bench: workers=1 and workers=%d outputs differ — determinism contract violated", w)
-		}
-		curve = append(curve, parBenchPoint{Workers: w, ParallelNs: ns, Speedup: float64(serialNs) / float64(ns)})
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
 	}
-
-	last := curve[len(curve)-1]
-	rep := parBenchReport{
-		Experiment:      "fig2a",
-		Scale:           scale.String(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Workers:         workers,
-		SerialNs:        serialNs,
-		ParallelNs:      last.ParallelNs,
-		Speedup:         last.Speedup,
-		Degenerate:      degenerateRun(workers, runtime.GOMAXPROCS(0)),
-		OutputIdentical: true,
+	if err == nil {
+		err = tmp.Sync()
 	}
-	rep.Curve = curve
-	fmt.Printf("par-bench fig2a (scale=%s): serial %.2fs\n", rep.Scale, float64(serialNs)/1e9)
-	for _, p := range curve {
-		fmt.Printf("  workers=%-3d %.2fs, speedup %.2fx\n", p.Workers, float64(p.ParallelNs)/1e9, p.Speedup)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if rep.Degenerate {
-		fmt.Println("par-bench: effective parallelism never exceeded 1 — the speedup measures worker-pool overhead, not scaling")
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if outPath != "" {
-		if err := mergeBenchEntry(outPath, "par_bench", rep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// asyncBenchReport is the JSON shape stored under "async_skew".
-type asyncBenchReport struct {
-	Scale        string  `json:"scale"`
-	Nodes        int     `json:"nodes"`
-	SyncRounds   int     `json:"sync_rounds"`
-	AsyncRounds  int     `json:"async_rounds"`
-	SyncNs       int64   `json:"sync_ns"`
-	AsyncNs      int64   `json:"async_ns"`
-	SyncRate     float64 `json:"sync_rounds_per_sec"`
-	AsyncRate    float64 `json:"async_rounds_per_sec"`
-	Speedup      float64 `json:"speedup"`
-	RelGap       float64 `json:"objective_rel_gap"`
-	StaleApplied int     `json:"stale_applied"`
-	StaleDropped int     `json:"stale_dropped"`
-}
-
-// runAsyncBench measures the ext-async experiment — buffered-async vs the
-// sync gather barrier under a 10x latency straggler — and merges the round
-// throughputs into the measurement file.
-func runAsyncBench(scale experiments.Scale, outPath string) error {
-	res, err := experiments.RunExtAsync(experiments.DefaultExtAsyncConfig(scale))
 	if err != nil {
-		return fmt.Errorf("async-bench: %w", err)
-	}
-	fmt.Print(res.Render())
-	if res.Speedup < 2 {
-		return fmt.Errorf("async-bench: speedup %.2fx below the 2x floor", res.Speedup)
-	}
-	if res.RelGap > 0.05 {
-		return fmt.Errorf("async-bench: objective gap %.1f%% above the 5%% bound", 100*res.RelGap)
-	}
-	if outPath != "" {
-		rep := asyncBenchReport{
-			Scale:        scale.String(),
-			Nodes:        res.Nodes,
-			SyncRounds:   res.SyncRounds,
-			AsyncRounds:  res.AsyncRounds,
-			SyncNs:       res.SyncElapsed.Nanoseconds(),
-			AsyncNs:      res.AsyncElapsed.Nanoseconds(),
-			SyncRate:     res.SyncRate,
-			AsyncRate:    res.AsyncRate,
-			Speedup:      res.Speedup,
-			RelGap:       res.RelGap,
-			StaleApplied: res.StaleApplied,
-			StaleDropped: res.StaleDropped,
-		}
-		if err := mergeBenchEntry(outPath, "async_skew", rep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// energyBenchArm is one sync policy's bill in the "ext_energy" entry.
-type energyBenchArm struct {
-	Arm            string  `json:"arm"`
-	TotalJoules    float64 `json:"total_joules"`
-	TotalKiB       float64 `json:"total_kib"`
-	FinalAcc       float64 `json:"final_acc"`
-	JoulesRatio    float64 `json:"joules_ratio_vs_full"`
-	BudgetFiltered int     `json:"budget_filtered"`
-}
-
-// energyBenchReport is the JSON shape stored under "ext_energy".
-type energyBenchReport struct {
-	Scale   string           `json:"scale"`
-	Profile string           `json:"profile"`
-	Arms    []energyBenchArm `json:"arms"`
-}
-
-// runEnergyBench runs the ext-energy experiment and enforces its headline
-// claim as a gate: head-only sync within 2 accuracy points of full sync at
-// >= 3x fewer modeled joules on the lora-like profile.
-func runEnergyBench(scale experiments.Scale, workers int, outPath string) error {
-	cfg := experiments.DefaultExtEnergyConfig(scale)
-	cfg.Workers = workers
-	res, err := experiments.RunExtEnergy(cfg)
-	if err != nil {
-		return fmt.Errorf("energy-bench: %w", err)
-	}
-	fmt.Print(res.Render())
-	full, head := 0, 1
-	if gap := res.FinalAcc[full] - res.FinalAcc[head]; gap > 0.02 {
-		return fmt.Errorf("energy-bench: head-sync accuracy %.4f more than 2 points below full-sync %.4f",
-			res.FinalAcc[head], res.FinalAcc[full])
-	}
-	if res.TotalJoules[head] > res.TotalJoules[full]/3 {
-		return fmt.Errorf("energy-bench: head-sync spent %.0f J, above 1/3 of full-sync %.0f J",
-			res.TotalJoules[head], res.TotalJoules[full])
-	}
-	if outPath != "" {
-		rep := energyBenchReport{Scale: scale.String(), Profile: res.Profile}
-		for i, name := range res.Arms {
-			rep.Arms = append(rep.Arms, energyBenchArm{
-				Arm:            name,
-				TotalJoules:    res.TotalJoules[i],
-				TotalKiB:       res.TotalKiB[i],
-				FinalAcc:       res.FinalAcc[i],
-				JoulesRatio:    res.TotalJoules[full] / res.TotalJoules[i],
-				BudgetFiltered: res.BudgetFiltered[i],
-			})
-		}
-		if err := mergeBenchEntry(outPath, "ext_energy", rep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// workloadBenchArm is one algorithm's row in a workload's personalization
-// matrix entry.
-type workloadBenchArm struct {
-	Arm        string  `json:"arm"`
-	GlobalAcc  float64 `json:"global_acc"`
-	AdaptedAcc float64 `json:"adapted_acc"`
-	Gap        float64 `json:"gap"`
-}
-
-// workloadBenchPoint is one point of the fedml arm's accuracy/traffic
-// trajectory.
-type workloadBenchPoint struct {
-	KiB int     `json:"kib"`
-	Acc float64 `json:"acc"`
-}
-
-// workloadBenchReport is the JSON shape stored under "ext_rec"/"ext_fault".
-type workloadBenchReport struct {
-	Scale      string               `json:"scale"`
-	Workload   string               `json:"workload"`
-	AdaptSteps int                  `json:"adapt_steps"`
-	TotalKiB   float64              `json:"total_kib"`
-	Trajectory []workloadBenchPoint `json:"trajectory"`
-	Arms       []workloadBenchArm   `json:"arms"`
-}
-
-// runWorkloadsBench runs the ext-rec and ext-fault comparison matrices and
-// enforces the personalization claim as a gate on both: FedML's adapted
-// accuracy must be at least the global accuracy of FedAvg and FedProx.
-func runWorkloadsBench(scale experiments.Scale, workers int, outPath string) error {
-	for _, workload := range []string{"rec", "fault"} {
-		cfg := experiments.DefaultExtWorkloadConfig(workload, scale)
-		cfg.Workers = workers
-		res, err := experiments.RunExtWorkload(cfg)
-		if err != nil {
-			return fmt.Errorf("workloads-bench %s: %w", workload, err)
-		}
-		fmt.Print(res.Render())
-		pers := map[string]float64{}
-		for i, name := range res.Arms {
-			pers[name+"/global"] = res.Pers[i].Global
-			pers[name+"/adapted"] = res.Pers[i].Adapted
-		}
-		for _, baseline := range []string{"fedavg", "fedprox"} {
-			if pers["fedml/adapted"] < pers[baseline+"/global"] {
-				return fmt.Errorf("workloads-bench %s: FedML adapted %.4f below %s global %.4f",
-					workload, pers["fedml/adapted"], baseline, pers[baseline+"/global"])
-			}
-		}
-		if outPath != "" {
-			rep := workloadBenchReport{
-				Scale:      scale.String(),
-				Workload:   workload,
-				AdaptSteps: cfg.AdaptSteps,
-				TotalKiB:   res.TotalKiB,
-			}
-			if res.AccVsKiB != nil {
-				for _, p := range res.AccVsKiB.Points {
-					rep.Trajectory = append(rep.Trajectory, workloadBenchPoint{KiB: p.Iter, Acc: p.Value})
-				}
-			}
-			for i, name := range res.Arms {
-				rep.Arms = append(rep.Arms, workloadBenchArm{
-					Arm:        name,
-					GlobalAcc:  res.Pers[i].Global,
-					AdaptedAcc: res.Pers[i].Adapted,
-					Gap:        res.Pers[i].Gap(),
-				})
-			}
-			if err := mergeBenchEntry(outPath, "ext_"+workload, rep); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// runScaleBench measures the ext-scale experiment — the two-tier topology at
-// fleet size — and merges rounds/sec into the measurement file.
-func runScaleBench(scale experiments.Scale, outPath string) error {
-	cfg := experiments.DefaultExtScaleConfig(scale)
-	res, err := experiments.RunExtScale(cfg)
-	if err != nil {
-		return fmt.Errorf("scale-bench: %w", err)
-	}
-	fmt.Print(res.Render())
-	if !res.StatsParity {
-		return fmt.Errorf("scale-bench: root stats diverged from shard sum: %+v", res.Root)
-	}
-	if outPath != "" {
-		rep := scaleBenchReport{
-			Scale:            scale.String(),
-			Nodes:            res.Nodes,
-			Shards:           res.Shards,
-			Dim:              res.Dim,
-			Rounds:           res.Rounds,
-			ElapsedNs:        res.Elapsed.Nanoseconds(),
-			RoundsPerSec:     res.RoundsPerSec,
-			NodeRoundsPerSec: res.NodeRoundsPerSec,
-			StatsParity:      res.StatsParity,
-			MaxClosedFormErr: res.MaxClosedFormErr,
-		}
-		if err := mergeBenchEntry(outPath, "ext_scale", rep); err != nil {
-			return err
-		}
+		return fmt.Errorf("bench write %s: %w", path, err)
 	}
 	return nil
 }

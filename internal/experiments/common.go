@@ -42,6 +42,20 @@ func (s Scale) String() string {
 	}
 }
 
+// MarshalText records a scale by name ("ci", "paper") in bench entries.
+func (s Scale) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText parses a scale name written by MarshalText.
+func (s *Scale) UnmarshalText(b []byte) error {
+	for _, c := range []Scale{ScaleCI, ScalePaper} {
+		if string(b) == c.String() {
+			*s = c
+			return nil
+		}
+	}
+	return fmt.Errorf("experiments: unknown scale %q", b)
+}
+
 // syntheticFederation builds Synthetic(alpha, beta) at the given scale.
 func syntheticFederation(alpha, beta float64, scale Scale, k int, seed uint64) (*data.Federation, error) {
 	cfg := data.DefaultSyntheticConfig(alpha, beta)

@@ -72,24 +72,42 @@ func DefaultExtAsyncConfig(scale Scale) ExtAsyncConfig {
 	return cfg
 }
 
-// ExtAsyncResult is the measured outcome of both runs.
+// ExtAsyncResult is the measured outcome of both runs; it is recorded as is
+// under "async_skew".
 type ExtAsyncResult struct {
-	Nodes int
+	Scale Scale `json:"scale"`
+	Nodes int   `json:"nodes"`
 	// SyncRounds/AsyncRounds are completed aggregations; the rates are
 	// rounds per wall-clock second.
-	SyncRounds, AsyncRounds int
-	SyncElapsed             time.Duration
-	AsyncElapsed            time.Duration
-	SyncRate, AsyncRate     float64
+	SyncRounds   int           `json:"sync_rounds"`
+	AsyncRounds  int           `json:"async_rounds"`
+	SyncElapsed  time.Duration `json:"sync_ns"`
+	AsyncElapsed time.Duration `json:"async_ns"`
+	SyncRate     float64       `json:"sync_rounds_per_sec"`
+	AsyncRate    float64       `json:"async_rounds_per_sec"`
 	// Speedup is AsyncRate / SyncRate.
-	Speedup float64
+	Speedup float64 `json:"speedup"`
 	// GFaultFree, GSync, GAsync are the final global meta-objectives of the
 	// latency-free reference and the two skewed runs; RelGap is
 	// |GAsync − GFaultFree| / |GFaultFree|.
-	GFaultFree, GSync, GAsync float64
-	RelGap                    float64
+	GFaultFree, GSync, GAsync float64 `json:"-"`
+	RelGap                    float64 `json:"objective_rel_gap"`
 	// StaleApplied/StaleDropped are the async run's staleness counters.
-	StaleApplied, StaleDropped int
+	StaleApplied int `json:"stale_applied"`
+	StaleDropped int `json:"stale_dropped"`
+}
+
+// Gate is ext-async's claim: the async loop at least doubles round
+// throughput under a 10x straggler while staying within 5% of the
+// fault-free objective. A NaN speedup or gap fails.
+func (r *ExtAsyncResult) Gate() error {
+	if !(r.Speedup >= 2) {
+		return fmt.Errorf("speedup %.2fx below the 2x floor", r.Speedup)
+	}
+	if !(r.RelGap <= 0.05) {
+		return fmt.Errorf("objective gap %.1f%% above the 5%% bound", 100*r.RelGap)
+	}
+	return nil
 }
 
 // RunExtAsync trains the same federation through the sync barrier and the
@@ -153,6 +171,7 @@ func RunExtAsync(cfg ExtAsyncConfig) (*ExtAsyncResult, error) {
 	relGap := math.Abs(gAsync-gFF) / math.Abs(gFF)
 
 	return &ExtAsyncResult{
+		Scale:        cfg.Scale,
 		Nodes:        len(fed.Sources),
 		SyncRounds:   syncRes.Comm.Rounds,
 		AsyncRounds:  asyncRes.Comm.Rounds,

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestExtAsyncCI(t *testing.T) {
 	if testing.Short() {
@@ -19,14 +16,8 @@ func TestExtAsyncCI(t *testing.T) {
 	if res.SyncRounds == 0 || res.AsyncRounds == 0 {
 		t.Fatalf("degenerate run: %+v", res)
 	}
-	// The cell's claim: the async loop at least doubles round throughput
-	// under a 10x straggler while staying within 5% of the fault-free
-	// objective.
-	if res.Speedup < 2 {
-		t.Errorf("speedup %.2fx < 2x (straggler still sets the clock)", res.Speedup)
-	}
-	if res.RelGap > 0.05 || math.IsNaN(res.RelGap) {
-		t.Errorf("async objective gap %.3f > 5%%", res.RelGap)
+	if err := res.Gate(); err != nil {
+		t.Error(err)
 	}
 	if res.Render() == "" {
 		t.Error("empty render")

@@ -78,33 +78,52 @@ func DefaultExtEnergyConfig(scale Scale) ExtEnergyConfig {
 }
 
 // ExtEnergyResult holds one accuracy-vs-joules and one accuracy-vs-KiB curve
-// per arm, plus the summary row each pair collapses to.
+// per arm, plus the bill each pair collapses to. It is recorded as is under
+// "ext_energy".
 type ExtEnergyResult struct {
-	Profile string
-	// Arms names the sync policies, in curve order: full-sync, head-sync,
-	// head-sync+budget.
-	Arms []string
+	Scale   Scale  `json:"scale"`
+	Profile string `json:"profile"`
+	// Arms are the sync policies' bills, in curve order: full-sync,
+	// head-sync, head-sync+budget.
+	Arms []EnergyArm `json:"arms"`
 	// AccVsJoules plots mean adapted target accuracy (y) against cumulative
 	// modeled joules across the fleet (x, in the Series iteration slot).
-	AccVsJoules []*eval.Series
+	AccVsJoules []*eval.Series `json:"-"`
 	// AccVsKiB plots the same accuracy against cumulative wire KiB — the
 	// ext-codec axis, so energy and traffic savings can be read side by side.
-	AccVsKiB []*eval.Series
-	// TotalJoules, TotalKiB, FinalAcc, BudgetFiltered are per-arm totals.
-	TotalJoules    []float64
-	TotalKiB       []float64
-	FinalAcc       []float64
-	BudgetFiltered []int
+	AccVsKiB []*eval.Series `json:"-"`
+}
+
+// EnergyArm is one sync policy's totals.
+type EnergyArm struct {
+	Arm         string  `json:"arm"`
+	TotalJoules float64 `json:"total_joules"`
+	TotalKiB    float64 `json:"total_kib"`
+	FinalAcc    float64 `json:"final_acc"`
+	// JoulesRatio is full sync's total joules over this arm's.
+	JoulesRatio    float64 `json:"joules_ratio_vs_full"`
+	BudgetFiltered int     `json:"budget_filtered"`
+}
+
+// Gate is ext-energy's headline claim on the lora-like profile: head-only
+// sync lands within 2 accuracy points of full sync at >= 3x fewer modeled
+// joules.
+func (r *ExtEnergyResult) Gate() error {
+	full, head := r.Arms[0], r.Arms[1]
+	if !(full.FinalAcc-head.FinalAcc <= 0.02) {
+		return fmt.Errorf("head-sync accuracy %.4f more than 2 points below full-sync %.4f", head.FinalAcc, full.FinalAcc)
+	}
+	if !(head.TotalJoules <= full.TotalJoules/3) {
+		return fmt.Errorf("head-sync spent %.0f J, above 1/3 of full-sync %.0f J", head.TotalJoules, full.TotalJoules)
+	}
+	return nil
 }
 
 // extEnergyCell is one arm's output slot.
 type extEnergyCell struct {
-	joules   *eval.Series
-	kib      *eval.Series
-	totalJ   float64
-	totalKiB float64
-	acc      float64
-	filtered int
+	joules *eval.Series
+	kib    *eval.Series
+	bill   EnergyArm
 }
 
 // joulesByRound folds an event stream into cumulative fleet joules at each
@@ -212,29 +231,26 @@ func RunExtEnergy(cfg ExtEnergyConfig) (*ExtEnergyResult, error) {
 			jCurve.Add(int(cumJ[r.Round]), acc)
 			kCurve.Add(int(r.Cum.Bytes/1024), acc)
 		}
-		cells[c] = extEnergyCell{
-			joules:   jCurve,
-			kib:      kCurve,
-			totalKiB: float64(res.Comm.Bytes) / 1024,
-			filtered: res.Comm.BudgetFiltered,
-		}
+		cells[c] = extEnergyCell{joules: jCurve, kib: kCurve, bill: EnergyArm{
+			Arm:            arm,
+			TotalKiB:       float64(res.Comm.Bytes) / 1024,
+			BudgetFiltered: res.Comm.BudgetFiltered,
+		}}
 		if last, ok := jCurve.Last(); ok {
-			cells[c].totalJ = float64(last.Iter)
-			cells[c].acc = last.Value
+			cells[c].bill.TotalJoules = float64(last.Iter)
+			cells[c].bill.FinalAcc = last.Value
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &ExtEnergyResult{Profile: cfg.Profile, Arms: arms}
+	res := &ExtEnergyResult{Scale: cfg.Scale, Profile: cfg.Profile}
 	for _, cell := range cells {
+		cell.bill.JoulesRatio = cells[0].bill.TotalJoules / cell.bill.TotalJoules
+		res.Arms = append(res.Arms, cell.bill)
 		res.AccVsJoules = append(res.AccVsJoules, cell.joules)
 		res.AccVsKiB = append(res.AccVsKiB, cell.kib)
-		res.TotalJoules = append(res.TotalJoules, cell.totalJ)
-		res.TotalKiB = append(res.TotalKiB, cell.totalKiB)
-		res.FinalAcc = append(res.FinalAcc, cell.acc)
-		res.BudgetFiltered = append(res.BudgetFiltered, cell.filtered)
 	}
 	return res, nil
 }
@@ -254,10 +270,9 @@ func (r *ExtEnergyResult) Render() string {
 		b.WriteString(s.TSV())
 	}
 	b.WriteString("arm          total J     total KiB   final acc   J ratio vs full   budget-filtered\n")
-	base := r.TotalJoules[0]
-	for i, name := range r.Arms {
+	for _, a := range r.Arms {
 		fmt.Fprintf(&b, "%-12s %-11.0f %-11.1f %-11.4f %-17.2f %d\n",
-			name, r.TotalJoules[i], r.TotalKiB[i], r.FinalAcc[i], base/r.TotalJoules[i], r.BudgetFiltered[i])
+			a.Arm, a.TotalJoules, a.TotalKiB, a.FinalAcc, a.JoulesRatio, a.BudgetFiltered)
 	}
 	b.WriteString("(head-only sync freezes the feature layers after warmup; the budgeted arm excludes the\n" +
 		"hungry node while full payloads fly and re-admits it once the mask fits its budget)\n")

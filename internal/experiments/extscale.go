@@ -60,22 +60,40 @@ func DefaultExtScaleConfig(scale Scale) ExtScaleConfig {
 	return cfg
 }
 
-// ExtScaleResult is the measured outcome.
+// ExtScaleResult is the measured outcome; it is recorded as is under
+// "ext_scale".
 type ExtScaleResult struct {
-	Nodes, Shards, Dim, Rounds int
+	Scale  Scale `json:"scale"`
+	Nodes  int   `json:"nodes"`
+	Shards int   `json:"shards"`
+	Dim    int   `json:"dim"`
+	Rounds int   `json:"rounds"`
 	// Elapsed is the wall-clock of the director's full run.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"elapsed_ns"`
 	// RoundsPerSec and NodeRoundsPerSec are the coordination throughput.
-	RoundsPerSec     float64
-	NodeRoundsPerSec float64
-	// MaxClosedFormErr is the max-abs deviation of the final θ from the
-	// linear dynamics' closed form.
-	MaxClosedFormErr float64
+	RoundsPerSec     float64 `json:"rounds_per_sec"`
+	NodeRoundsPerSec float64 `json:"node_rounds_per_sec"`
 	// StatsParity reports whether the root traffic counters equal the sum
 	// of the shard counters (they must).
-	StatsParity bool
+	StatsParity bool `json:"stats_parity"`
+	// MaxClosedFormErr is the max-abs deviation of the final θ from the
+	// linear dynamics' closed form.
+	MaxClosedFormErr float64 `json:"max_closed_form_err"`
 	// Root is the director's accounting.
-	Root core.CommStats
+	Root core.CommStats `json:"-"`
+}
+
+// Gate is ext-scale's acceptance check: the root traffic equals the shard
+// sum, and the aggregate tracks the closed form to FP accumulation error,
+// not algorithmic error.
+func (r *ExtScaleResult) Gate() error {
+	if !r.StatsParity {
+		return fmt.Errorf("root stats diverged from shard sum: %+v", r.Root)
+	}
+	if !(r.MaxClosedFormErr <= 1e-9) {
+		return fmt.Errorf("closed-form deviation %v above 1e-9", r.MaxClosedFormErr)
+	}
+	return nil
 }
 
 // simCenter derives node i's fixed point c_i deterministically; the Update
@@ -197,7 +215,7 @@ func RunExtScale(cfg ExtScaleConfig) (*ExtScaleResult, error) {
 
 	secs := elapsed.Seconds()
 	return &ExtScaleResult{
-		Nodes: n, Shards: cfg.Shards, Dim: dim, Rounds: cfg.Rounds,
+		Scale: cfg.Scale, Nodes: n, Shards: cfg.Shards, Dim: dim, Rounds: cfg.Rounds,
 		Elapsed:          elapsed,
 		RoundsPerSec:     float64(cfg.Rounds) / secs,
 		NodeRoundsPerSec: float64(cfg.Rounds) * float64(n) / secs,

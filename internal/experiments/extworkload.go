@@ -114,7 +114,10 @@ func workloadFederation(workload string, scale Scale, seed uint64) (*data.Federa
 // ExtWorkloadResult holds the personalization matrix plus the fedml arm's
 // accuracy/traffic trajectory.
 type ExtWorkloadResult struct {
+	Scale    Scale
 	Workload string
+	// AdaptSteps is the adaptation depth of the personalized column.
+	AdaptSteps int
 	// Arms and Pers are the matrix rows: per algorithm, global vs adapted
 	// target accuracy.
 	Arms []string
@@ -231,15 +234,76 @@ func RunExtWorkload(cfg ExtWorkloadConfig) (*ExtWorkloadResult, error) {
 		return nil, err
 	}
 	return &ExtWorkloadResult{
-		Workload: cfg.Workload,
-		Arms:     arms,
-		Pers:     pers,
-		AccVsKiB: accVsKiB,
-		TotalKiB: totalKiB,
-		Codec:    cfg.Codec,
-		MaskSpec: cfg.SyncMask,
-		Async:    cfg.Async,
+		Scale:      cfg.Scale,
+		Workload:   cfg.Workload,
+		AdaptSteps: cfg.AdaptSteps,
+		Arms:       arms,
+		Pers:       pers,
+		AccVsKiB:   accVsKiB,
+		TotalKiB:   totalKiB,
+		Codec:      cfg.Codec,
+		MaskSpec:   cfg.SyncMask,
+		Async:      cfg.Async,
 	}, nil
+}
+
+// Gate is the personalization claim: FedML's adapted accuracy is at least
+// the global accuracy of FedAvg and FedProx, and adaptation helps it (a
+// positive personalization gap).
+func (r *ExtWorkloadResult) Gate() error {
+	arm := map[string]eval.Personalization{}
+	for i, name := range r.Arms {
+		arm[name] = r.Pers[i]
+	}
+	fedml := arm["fedml"]
+	for _, baseline := range []string{"fedavg", "fedprox"} {
+		if !(fedml.Adapted >= arm[baseline].Global) {
+			return fmt.Errorf("%s: FedML adapted %.4f below %s global %.4f",
+				r.Workload, fedml.Adapted, baseline, arm[baseline].Global)
+		}
+	}
+	if !(fedml.Gap() > 0) {
+		return fmt.Errorf("%s: FedML personalization gap %.4f not positive", r.Workload, fedml.Gap())
+	}
+	return nil
+}
+
+// workloadEntry is the "ext_rec"/"ext_fault" record: the fedml arm's
+// accuracy/traffic trajectory and the personalization matrix.
+type workloadEntry struct {
+	Scale      Scale           `json:"scale"`
+	Workload   string          `json:"workload"`
+	AdaptSteps int             `json:"adapt_steps"`
+	TotalKiB   float64         `json:"total_kib"`
+	Trajectory []workloadPoint `json:"trajectory"`
+	Arms       []workloadArm   `json:"arms"`
+}
+
+type workloadPoint struct {
+	KiB int     `json:"kib"`
+	Acc float64 `json:"acc"`
+}
+
+type workloadArm struct {
+	Arm        string  `json:"arm"`
+	GlobalAcc  float64 `json:"global_acc"`
+	AdaptedAcc float64 `json:"adapted_acc"`
+	Gap        float64 `json:"gap"`
+}
+
+// entry builds the "ext_rec"/"ext_fault" record.
+func (r *ExtWorkloadResult) entry() workloadEntry {
+	e := workloadEntry{Scale: r.Scale, Workload: r.Workload, AdaptSteps: r.AdaptSteps, TotalKiB: r.TotalKiB}
+	if r.AccVsKiB != nil {
+		for _, p := range r.AccVsKiB.Points {
+			e.Trajectory = append(e.Trajectory, workloadPoint{KiB: p.Iter, Acc: p.Value})
+		}
+	}
+	for i, name := range r.Arms {
+		p := r.Pers[i]
+		e.Arms = append(e.Arms, workloadArm{Arm: name, GlobalAcc: p.Global, AdaptedAcc: p.Adapted, Gap: p.Gap()})
+	}
+	return e
 }
 
 // Render implements the printable extension: the fedml accuracy-vs-KiB

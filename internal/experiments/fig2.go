@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"time"
 
 	"github.com/edgeai/fedml/internal/core"
 	"github.com/edgeai/fedml/internal/data"
@@ -162,6 +164,121 @@ func (r *Fig2aResult) Render() string {
 		"convergence error G(θ_t) − G(θ*)", r.Curves))
 	renderWarnings(&b, r.Warnings)
 	return b.String()
+}
+
+// ParSweepResult times the fig2a grid serially and across a doubling sweep
+// of worker counts, and records whether every leg rendered byte-identically
+// to the serial run (the par contract). It is recorded as is under
+// "par_bench".
+type ParSweepResult struct {
+	Experiment string `json:"experiment"`
+	Scale      Scale  `json:"scale"`
+	// GOMAXPROCS and Workers record the actual parallelism of the run, so a
+	// snapshot taken on a small machine is honest about what it compared.
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	Workers    int     `json:"workers"`
+	SerialNs   int64   `json:"serial_ns"`
+	ParallelNs int64   `json:"parallel_ns"`
+	Speedup    float64 `json:"speedup"`
+	// Degenerate marks a run whose effective parallelism never exceeded 1 —
+	// a single-core host, or an explicit -workers 1 — so Speedup measures
+	// worker-pool overhead, not scaling.
+	Degenerate      bool `json:"degenerate,omitempty"`
+	OutputIdentical bool `json:"output_identical"`
+	// Curve is the sweep, one leg per worker count; ParallelNs/Speedup
+	// above mirror its last (largest) leg.
+	Curve []ParSweepPoint `json:"curve"`
+}
+
+// ParSweepPoint is one leg of the speedup curve.
+type ParSweepPoint struct {
+	Workers    int     `json:"workers"`
+	ParallelNs int64   `json:"parallel_ns"`
+	Speedup    float64 `json:"speedup"`
+}
+
+// RunParSweep runs fig2a at workers=1 and then at each count of
+// workerSweep(workers), timing every leg including its rendering.
+func RunParSweep(scale Scale, workers int) (*ParSweepResult, error) {
+	leg := func(w int) (string, int64, error) {
+		start := time.Now()
+		out, err := Run("fig2a", scale, w)
+		return out, time.Since(start).Nanoseconds(), err
+	}
+	serialOut, serialNs, err := leg(1)
+	if err != nil {
+		return nil, err
+	}
+	sweep := workerSweep(workers)
+	r := &ParSweepResult{
+		Experiment:      "fig2a",
+		Scale:           scale,
+		GOMAXPROCS:      runtime.GOMAXPROCS(0),
+		Workers:         sweep[len(sweep)-1],
+		SerialNs:        serialNs,
+		OutputIdentical: true,
+	}
+	for _, w := range sweep {
+		out, ns, err := leg(w)
+		if err != nil {
+			return nil, err
+		}
+		r.OutputIdentical = r.OutputIdentical && out == serialOut
+		r.Curve = append(r.Curve, ParSweepPoint{Workers: w, ParallelNs: ns, Speedup: float64(serialNs) / float64(ns)})
+	}
+	last := r.Curve[len(r.Curve)-1]
+	r.ParallelNs, r.Speedup = last.ParallelNs, last.Speedup
+	r.Degenerate = degenerateRun(r.Workers, r.GOMAXPROCS)
+	return r, nil
+}
+
+// Gate is the par contract: every leg's output equals the serial one.
+func (r *ParSweepResult) Gate() error {
+	if !r.OutputIdentical {
+		return fmt.Errorf("fig2a output at workers>1 differs from workers=1 — determinism contract violated")
+	}
+	return nil
+}
+
+// Render prints the speedup curve.
+func (r *ParSweepResult) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "par fig2a (scale=%s): serial %.2fs\n", r.Scale, float64(r.SerialNs)/1e9)
+	for _, p := range r.Curve {
+		fmt.Fprintf(&b, "  workers=%-3d %.2fs, speedup %.2fx\n", p.Workers, float64(p.ParallelNs)/1e9, p.Speedup)
+	}
+	if r.Degenerate {
+		b.WriteString("effective parallelism never exceeded 1 — the speedup measures worker-pool overhead, not scaling\n")
+	}
+	if !r.OutputIdentical {
+		b.WriteString("OUTPUT DIFFERS from the serial run — determinism contract violated\n")
+	}
+	return b.String()
+}
+
+// degenerateRun reports whether a serial-vs-parallel comparison ran at
+// effective parallelism ≤ 1, either because the host has a single core or
+// because the parallel leg was itself asked for one worker. It must depend
+// on the parallelism the run actually used: deriving it from GOMAXPROCS
+// alone recorded a `-workers 1` run on a multi-core box as a non-degenerate
+// ~1.0× "speedup".
+func degenerateRun(workers, gomaxprocs int) bool {
+	return workers <= 1 || gomaxprocs <= 1
+}
+
+// workerSweep returns the worker counts of the speedup curve: doubling from
+// 2 up to and including par.Workers(workers), or just {1} when that is 1.
+// A count ≤ 0 means all cores, as everywhere else.
+func workerSweep(workers int) []int {
+	max := par.Workers(workers)
+	if max <= 1 {
+		return []int{1}
+	}
+	var counts []int
+	for w := 2; w < max; w *= 2 {
+		counts = append(counts, w)
+	}
+	return append(counts, max)
 }
 
 // Fig2bConfig parameterizes the local-update-count experiment.

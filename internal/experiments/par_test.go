@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -143,4 +145,53 @@ func TestExperimentsWorkerCountInvariance(t *testing.T) {
 			t.Error("ext-meta-opt output differs between workers=1 and workers=8")
 		}
 	})
+}
+
+// Regression for the Degenerate flag: it used to be derived from
+// runtime.GOMAXPROCS alone, so a `-workers 1` run on a multi-core box was
+// recorded as a non-degenerate ~1.0× "speedup". It must depend on the
+// parallelism the run actually used.
+func TestDegenerateRun(t *testing.T) {
+	cases := []struct {
+		workers, gomaxprocs int
+		want                bool
+	}{
+		{workers: 1, gomaxprocs: 8, want: true}, // the original bug: -workers 1 on a multi-core host
+		{workers: 8, gomaxprocs: 1, want: true}, // single-core host: workers contend for one P
+		{workers: 1, gomaxprocs: 1, want: true},
+		{workers: 2, gomaxprocs: 2, want: false},
+		{workers: 8, gomaxprocs: 8, want: false},
+	}
+	for _, c := range cases {
+		if got := degenerateRun(c.workers, c.gomaxprocs); got != c.want {
+			t.Errorf("degenerateRun(workers=%d, gomaxprocs=%d) = %v, want %v", c.workers, c.gomaxprocs, got, c.want)
+		}
+	}
+}
+
+// A worker count ≤ 0 means all cores, as everywhere else: the sweep used to
+// record `-workers -2` as its worker count while running only workers=1.
+func TestWorkerSweep(t *testing.T) {
+	all := runtime.GOMAXPROCS(0)
+	cases := []struct {
+		workers int
+		want    []int
+	}{
+		{workers: 0, want: workerSweep(all)},
+		{workers: -2, want: workerSweep(all)},
+		{workers: 1, want: []int{1}},
+		{workers: 2, want: []int{2}},
+		{workers: 3, want: []int{2, 3}},
+		{workers: 6, want: []int{2, 4, 6}},
+		{workers: 8, want: []int{2, 4, 8}},
+		{workers: 9, want: []int{2, 4, 8, 9}},
+	}
+	for _, c := range cases {
+		if got := workerSweep(c.workers); !slices.Equal(got, c.want) {
+			t.Errorf("workerSweep(%d) = %v, want %v", c.workers, got, c.want)
+		}
+	}
+	if got := workerSweep(-2); got[len(got)-1] != all {
+		t.Errorf("workerSweep(-2) = %v, want it to end at all %d cores", got, all)
+	}
 }
